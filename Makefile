@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSchedulerOps -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
+	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
 
 # cover enforces per-package coverage floors on the packages whose
 # correctness burden is a test suite rather than a golden run: the seed
@@ -106,10 +107,11 @@ bench-baseline:
 # observability pins the observability layer's two contracts: the JSONL
 # trace schema golden (any wire-format drift fails here) and the
 # pay-for-what-you-use benchmark ladder (a zero-option simulation must
-# not regress toward the observed rungs).
+# not regress toward the observed rungs). Five samples per rung: a single
+# sample cannot rank the rungs against scheduler jitter.
 observability:
 	$(GO) test -run 'TestJSONLSchemaGolden|TestJSONLRoundTrip' ./internal/trace/
-	$(GO) test -run xxx -bench BenchmarkObserverOverhead -benchtime 1x .
+	$(GO) test -run xxx -bench BenchmarkObserverOverhead -benchtime 1x -count 5 .
 
 # smoke drives the CLI end-to-end through the faulty regime — lossy
 # bursty channel, node churn, retry transport, route repair — over a

@@ -9,7 +9,7 @@ package hello
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/sim"
@@ -33,80 +33,92 @@ type Entry struct {
 	LastSeen sim.Time
 }
 
-// Table is a node's neighbor table. The zero value is not usable; use
-// NewTable.
+// Table is a node's neighbor table: rows sorted by neighbor ID, with a
+// compact ids column beside the entries for the binary search. A refresh
+// overwrites its row in place. The zero value is not usable; use NewTable.
 type Table struct {
 	ttl     sim.Time
-	entries map[NodeID]Entry
+	ids     []NodeID // ascending; ids[i] == entries[i].ID
+	entries []Entry
 }
 
 // NewTable creates a neighbor table whose entries expire ttl seconds after
 // their last refresh. A non-positive ttl disables expiry.
 func NewTable(ttl sim.Time) *Table {
-	return &Table{ttl: ttl, entries: make(map[NodeID]Entry)}
+	return &Table{ttl: ttl}
+}
+
+// Grow reserves room for n more neighbors, so a table seeded with a known
+// neighborhood is allocated once at its exact size.
+func (t *Table) Grow(n int) {
+	t.ids = slices.Grow(t.ids, n)
+	t.entries = slices.Grow(t.entries, n)
 }
 
 // Update records a received beacon at the given time.
 func (t *Table) Update(b Beacon, now sim.Time) {
-	t.entries[b.ID] = Entry{Beacon: b, LastSeen: now}
+	i, ok := slices.BinarySearch(t.ids, b.ID)
+	if ok {
+		t.entries[i] = Entry{Beacon: b, LastSeen: now}
+		return
+	}
+	t.ids = slices.Insert(t.ids, i, b.ID)
+	t.entries = slices.Insert(t.entries, i, Entry{Beacon: b, LastSeen: now})
 }
 
 // Get returns the freshest entry for the given neighbor, if present and
 // not expired as of now.
 func (t *Table) Get(id NodeID, now sim.Time) (Entry, bool) {
-	e, ok := t.entries[id]
-	if !ok {
+	i, ok := slices.BinarySearch(t.ids, id)
+	if !ok || t.expired(t.entries[i], now) {
 		return Entry{}, false
 	}
-	if t.expired(e, now) {
-		return Entry{}, false
-	}
-	return e, true
+	return t.entries[i], true
 }
 
 // Remove deletes a neighbor entry (e.g. on an explicit failure signal).
-func (t *Table) Remove(id NodeID) { delete(t.entries, id) }
+func (t *Table) Remove(id NodeID) {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
+		t.ids = slices.Delete(t.ids, i, i+1)
+		t.entries = slices.Delete(t.entries, i, i+1)
+	}
+}
 
 // Len returns the number of live entries as of now, purging expired ones.
 func (t *Table) Len(now sim.Time) int {
 	t.purge(now)
-	return len(t.entries)
+	return len(t.ids)
 }
 
 // IDs returns the live neighbor IDs in ascending order as of now.
 func (t *Table) IDs(now sim.Time) []NodeID {
 	t.purge(now)
-	ids := make([]NodeID, 0, len(t.entries))
-	for id := range t.entries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
+	return append(make([]NodeID, 0, len(t.ids)), t.ids...)
 }
 
 // Snapshot returns the live entries in ascending ID order as of now.
 func (t *Table) Snapshot(now sim.Time) []Entry {
-	ids := t.IDs(now)
-	out := make([]Entry, len(ids))
-	for i, id := range ids {
-		out[i] = t.entries[id]
-	}
-	return out
+	t.purge(now)
+	return append(make([]Entry, 0, len(t.entries)), t.entries...)
 }
 
 func (t *Table) expired(e Entry, now sim.Time) bool {
 	return t.ttl > 0 && now-e.LastSeen > t.ttl
 }
 
+// purge drops expired rows, compacting both columns in order.
 func (t *Table) purge(now sim.Time) {
 	if t.ttl <= 0 {
 		return
 	}
-	for id, e := range t.entries {
-		if t.expired(e, now) {
-			delete(t.entries, id)
+	live := 0
+	for i, e := range t.entries {
+		if !t.expired(e, now) {
+			t.ids[live], t.entries[live] = t.ids[i], e
+			live++
 		}
 	}
+	t.ids, t.entries = t.ids[:live], t.entries[:live]
 }
 
 // SendFunc broadcasts the node's current beacon. It is supplied by the

@@ -318,10 +318,12 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 			flows:     core.NewTable(),
 		}
 		w.nodes = append(w.nodes, n)
-		w.index.Insert(i, pos)
+		// Register first: it rejects IDs beyond radio's endpoint bound,
+		// which also keeps them inside the grid's dense ID range.
 		if err := medium.Register(i, n); err != nil {
 			return nil, err
 		}
+		w.index.Insert(i, pos)
 	}
 	medium.UseLocator(worldLocator{w})
 	w.seedNeighborTables()
@@ -347,18 +349,21 @@ func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 
 // seedNeighborTables performs the initial HELLO exchange: every node
 // learns its in-range neighbors' position and energy at t=0. The spatial
-// index serves each node's neighborhood in O(k), so seeding a world costs
-// O(n·k) instead of the former O(n²) all-pairs scan.
+// index serves each node's neighborhood in O(k), ascending, so each
+// table is filled in one appending pass at its exact size, reading
+// neighbor state straight from the node store.
 func (w *World) seedNeighborTables() {
+	st := &w.store
 	var buf []NodeID
 	for _, n := range w.nodes {
 		n.lastAdvert = n.beacon()
-		buf = w.index.AppendInRange(buf[:0], n.pos(), w.cfg.Radio.Range)
+		buf = w.index.AppendInRange(buf[:0], st.pos[n.id], w.cfg.Radio.Range)
+		n.neighbors.Grow(max(len(buf)-1, 0)) // buf holds n itself
 		for _, id := range buf {
 			if id == n.id {
 				continue
 			}
-			n.neighbors.Update(w.nodes[id].beacon(), 0)
+			n.neighbors.Update(hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()}, 0)
 		}
 	}
 }

@@ -15,8 +15,9 @@
 //   - query results are returned in ascending ID order, preserving the
 //     simulator's determinism guarantee (one seed, one byte-identical
 //     run) regardless of which index serves the query;
-//   - IDs are arbitrary non-negative integers chosen by the caller
-//     (netsim uses node IDs).
+//   - IDs are dense non-negative indices chosen by the caller (netsim
+//     uses node IDs, FromPoints slice positions); the grid indexes its
+//     per-ID state by them.
 //
 // The package is deliberately dependency-free (geom only) so every layer
 // — topo graphs, the radio medium, netsim worlds, experiment drivers —
@@ -108,21 +109,41 @@ func FromPoints(kind Kind, cellSize float64, pts []geom.Point) (Index, error) {
 // cellKey addresses one grid cell by its integer cell coordinates.
 type cellKey struct{ cx, cy int }
 
+// hash mixes both cell coordinates for the cell table's linear probing.
+func (k cellKey) hash() uint64 {
+	h := (uint64(k.cx)*0x9E3779B97F4A7C15 ^ uint64(k.cy)) * 0xBF58476D1CE4E5B9
+	return h ^ h>>31
+}
+
 // gridEntry is one bucketed point: the ID and its exact position. The
-// position lives in the bucket (not only in the where map) so range
-// queries filter candidates with a cache-friendly slice scan instead of
-// one map lookup per candidate.
+// position lives in the bucket (not only in the where column) so range
+// queries filter candidates with a cache-friendly slice scan.
 type gridEntry struct {
 	id  int
 	pos geom.Point
+}
+
+// gridCell is one slot of the open-addressed cell table. Every insert,
+// removal and position update (in-place ones too) in the cell bumps its
+// epoch, so epoch 0 marks an empty slot. A cell keeps its slot and epoch
+// after it empties, so RegionStamp sums are monotone.
+type gridCell struct {
+	key    cellKey
+	epoch  uint64
+	bucket []gridEntry
 }
 
 // gridSlot records where an ID currently lives: its cell and its index
 // within that cell's bucket (maintained across swap-deletes).
 type gridSlot struct {
 	key cellKey
-	idx int
+	idx int32
+	in  bool
 }
+
+// maxGridID bounds IDs, which index the where column, so a huge ID cannot
+// allocate without bound (radio.maxNodeID bounds endpoints the same way).
+const maxGridID = 1 << 24
 
 // Grid is a uniform-grid Index: the plane is cut into cellSize×cellSize
 // cells and each point is bucketed by its cell. A range query visits only
@@ -131,13 +152,21 @@ type gridSlot struct {
 // many points the index holds, so queries cost O(k) in the number of
 // points near the query, not O(n) in the index size.
 //
+// IDs are dense indices in [0, 1<<24), as every caller uses them: the
+// where column is indexed by ID and Insert panics outside that range.
+// The cell table (power-of-two, linear probing, at most half full) holds
+// only ever-occupied cells, so memory stays O(points + occupied cells)
+// however far apart the points are.
+//
 // Grid is not safe for concurrent use; like the rest of the simulator it
 // is single-threaded within one world (parallel sweeps give each trial
 // its own world and therefore its own index).
 type Grid struct {
 	cell  float64
-	cells map[cellKey][]gridEntry
-	where map[int]gridSlot
+	cells []gridCell // len is zero or a power of two
+	used  int        // claimed slots in cells
+	where []gridSlot // indexed by ID
+	n     int
 	// bounds clamp query scans to cells that have ever been occupied, so
 	// a huge query radius degrades to the brute-force cost instead of
 	// iterating empty space. They only grow; stale slack is harmless.
@@ -146,15 +175,9 @@ type Grid struct {
 	// rebuckets counts relocations across cell boundaries. Moves within a
 	// cell update the bucketed position in place and do not count — the
 	// invariant that keeps high-frequency small-step mobility (ambient
-	// motion at ~1 m/s against radio-range-sized cells) O(1) map-free on
-	// the common path.
+	// motion at ~1 m/s against radio-range-sized cells) on the cheap
+	// in-place path.
 	rebuckets uint64
-	// epochs counts modifications per cell: every insert, removal, and
-	// position update (including in-place same-cell updates) bumps the
-	// touched cell's epoch. Epochs are never deleted — a vacated cell
-	// keeps its count — so RegionStamp sums are monotone and a cached
-	// range query can be revalidated by comparing stamps.
-	epochs map[cellKey]uint64
 }
 
 var _ Index = (*Grid)(nil)
@@ -166,12 +189,7 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	if !(cellSize > 0) || math.IsInf(cellSize, 1) {
 		return nil, fmt.Errorf("spatial: invalid grid cell size %v", cellSize)
 	}
-	return &Grid{
-		cell:   cellSize,
-		cells:  make(map[cellKey][]gridEntry),
-		where:  make(map[int]gridSlot),
-		epochs: make(map[cellKey]uint64),
-	}, nil
+	return &Grid{cell: cellSize}, nil
 }
 
 // CellSize returns the grid's cell side length.
@@ -192,23 +210,76 @@ func (g *Grid) keyOf(p geom.Point) cellKey {
 	}
 }
 
+// lookup returns k's slot, or nil if k has never been occupied.
+func (g *Grid) lookup(k cellKey) *gridCell {
+	if len(g.cells) == 0 {
+		return nil
+	}
+	if c := g.probe(k); c.epoch != 0 {
+		return c
+	}
+	return nil
+}
+
+// claim returns k's slot, claiming an empty one if k is new; the caller
+// bumps the epoch before the next table operation. It may rehash, which
+// invalidates every slot pointer taken before it.
+func (g *Grid) claim(k cellKey) *gridCell {
+	if 2*(g.used+1) > len(g.cells) {
+		old := g.cells
+		g.cells = make([]gridCell, max(16, 2*len(old)))
+		for _, c := range old {
+			if c.epoch != 0 {
+				*g.probe(c.key) = c
+			}
+		}
+	}
+	c := g.probe(k)
+	if c.epoch == 0 {
+		c.key = k
+		g.used++
+	}
+	return c
+}
+
+// probe walks k's linear-probe sequence to k's slot or, if k is absent,
+// the empty slot that ends the sequence.
+func (g *Grid) probe(k cellKey) *gridCell {
+	mask := uint64(len(g.cells) - 1)
+	i := k.hash() & mask
+	for g.cells[i].epoch != 0 && g.cells[i].key != k {
+		i = (i + 1) & mask
+	}
+	return &g.cells[i]
+}
+
 // Insert implements Index.
 func (g *Grid) Insert(id int, p geom.Point) {
-	k := g.keyOf(p)
-	g.epochs[k]++
-	if slot, ok := g.where[id]; ok {
-		if slot.key == k {
-			// Same cell: update the bucketed position in place.
-			g.cells[k][slot.idx].pos = p
-			return
-		}
-		g.rebuckets++
-		g.epochs[slot.key]++
-		g.unbucket(slot)
+	if id < 0 || id >= maxGridID {
+		panic(fmt.Sprintf("spatial: grid id %d out of range [0, %d)", id, maxGridID))
 	}
-	bucket := g.cells[k]
-	g.cells[k] = append(bucket, gridEntry{id: id, pos: p})
-	g.where[id] = gridSlot{key: k, idx: len(bucket)}
+	if id >= len(g.where) {
+		g.where = append(g.where, make([]gridSlot, id+1-len(g.where))...)
+	}
+	k := g.keyOf(p)
+	slot := &g.where[id]
+	if slot.in && slot.key == k {
+		// Same cell: update the bucketed position in place.
+		c := g.lookup(k)
+		c.epoch++
+		c.bucket[slot.idx].pos = p
+		return
+	}
+	c := g.claim(k)
+	c.epoch++
+	if slot.in {
+		g.rebuckets++
+		g.unbucket(*slot)
+	} else {
+		g.n++
+	}
+	*slot = gridSlot{key: k, idx: int32(len(c.bucket)), in: true}
+	c.bucket = append(c.bucket, gridEntry{id: id, pos: p})
 	g.grow(k)
 }
 
@@ -217,87 +288,80 @@ func (g *Grid) Move(id int, p geom.Point) { g.Insert(id, p) }
 
 // Remove implements Index.
 func (g *Grid) Remove(id int) {
-	slot, ok := g.where[id]
-	if !ok {
+	if id < 0 || id >= len(g.where) || !g.where[id].in {
 		return
 	}
-	g.epochs[slot.key]++
-	g.unbucket(slot)
-	delete(g.where, id)
+	g.unbucket(g.where[id])
+	g.where[id].in = false
+	g.n--
 }
 
-// unbucket removes the entry at slot from its cell bucket (swap-delete;
-// bucket order is irrelevant because queries sort their results). The
-// swapped-in entry's slot index is patched so where stays consistent.
+// unbucket bumps the epoch of slot's cell and removes the entry at slot
+// from its bucket (swap-delete; queries sort their results). The
+// swapped-in entry's slot index is patched so where stays consistent,
+// and an emptied bucket is released.
 func (g *Grid) unbucket(slot gridSlot) {
-	bucket := g.cells[slot.key]
-	last := len(bucket) - 1
-	if slot.idx != last {
-		moved := bucket[last]
-		bucket[slot.idx] = moved
-		g.where[moved.id] = gridSlot{key: slot.key, idx: slot.idx}
+	c := g.lookup(slot.key)
+	c.epoch++
+	last := len(c.bucket) - 1
+	if int(slot.idx) != last {
+		moved := c.bucket[last]
+		c.bucket[slot.idx] = moved
+		g.where[moved.id].idx = slot.idx
 	}
-	bucket = bucket[:last]
-	if len(bucket) == 0 {
-		delete(g.cells, slot.key)
-	} else {
-		g.cells[slot.key] = bucket
+	c.bucket = c.bucket[:last]
+	if last == 0 {
+		c.bucket = nil
 	}
 }
 
 // grow widens the occupied-cell bounds to include k.
 func (g *Grid) grow(k cellKey) {
 	if !g.hasBounds {
-		g.minC, g.maxC = k, k
-		g.hasBounds = true
+		g.minC, g.maxC, g.hasBounds = k, k, true
 		return
 	}
-	if k.cx < g.minC.cx {
-		g.minC.cx = k.cx
-	}
-	if k.cy < g.minC.cy {
-		g.minC.cy = k.cy
-	}
-	if k.cx > g.maxC.cx {
-		g.maxC.cx = k.cx
-	}
-	if k.cy > g.maxC.cy {
-		g.maxC.cy = k.cy
-	}
+	g.minC = cellKey{cx: min(g.minC.cx, k.cx), cy: min(g.minC.cy, k.cy)}
+	g.maxC = cellKey{cx: max(g.maxC.cx, k.cx), cy: max(g.maxC.cy, k.cy)}
 }
 
 // Len implements Index.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 // InRange implements Index.
 func (g *Grid) InRange(p geom.Point, r float64) []int {
 	return g.AppendInRange(nil, p, r)
 }
 
+// span returns the cell rectangle a query at (p, r) visits: the query
+// disk's bounding box clamped to the occupied-cell bounds. ok is false
+// for a negative radius or an empty grid.
+func (g *Grid) span(p geom.Point, r float64) (lo, hi cellKey, ok bool) {
+	if r < 0 || !g.hasBounds {
+		return lo, hi, false
+	}
+	lo = g.keyOf(geom.Pt(p.X-r, p.Y-r))
+	hi = g.keyOf(geom.Pt(p.X+r, p.Y+r))
+	lo = cellKey{cx: max(lo.cx, g.minC.cx), cy: max(lo.cy, g.minC.cy)}
+	hi = cellKey{cx: min(hi.cx, g.maxC.cx), cy: min(hi.cy, g.maxC.cy)}
+	return lo, hi, true
+}
+
 // AppendInRange implements Index.
 func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
-	if r < 0 || !g.hasBounds {
+	lo, hi, ok := g.span(p, r)
+	if !ok {
 		return dst
 	}
 	r2 := r * r
-	lo := g.keyOf(geom.Pt(p.X-r, p.Y-r))
-	hi := g.keyOf(geom.Pt(p.X+r, p.Y+r))
-	if lo.cx < g.minC.cx {
-		lo.cx = g.minC.cx
-	}
-	if lo.cy < g.minC.cy {
-		lo.cy = g.minC.cy
-	}
-	if hi.cx > g.maxC.cx {
-		hi.cx = g.maxC.cx
-	}
-	if hi.cy > g.maxC.cy {
-		hi.cy = g.maxC.cy
-	}
 	start := len(dst)
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
-			for _, e := range g.cells[cellKey{cx: cx, cy: cy}] {
+			c := g.lookup(cellKey{cx: cx, cy: cy})
+			if c == nil {
+				continue
+			}
+			for _, e := range c.bucket {
 				if e.pos.Dist2(p) <= r2 {
 					dst = append(dst, e.id)
 				}
@@ -319,27 +383,16 @@ func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
 // derived from p. netsim's lazy HELLO receiver snapshots revalidate on
 // this instead of re-running the query every beacon round.
 func (g *Grid) RegionStamp(p geom.Point, r float64) uint64 {
-	if r < 0 || !g.hasBounds {
+	lo, hi, ok := g.span(p, r)
+	if !ok {
 		return 0
-	}
-	lo := g.keyOf(geom.Pt(p.X-r, p.Y-r))
-	hi := g.keyOf(geom.Pt(p.X+r, p.Y+r))
-	if lo.cx < g.minC.cx {
-		lo.cx = g.minC.cx
-	}
-	if lo.cy < g.minC.cy {
-		lo.cy = g.minC.cy
-	}
-	if hi.cx > g.maxC.cx {
-		hi.cx = g.maxC.cx
-	}
-	if hi.cy > g.maxC.cy {
-		hi.cy = g.maxC.cy
 	}
 	var sum uint64
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
-			sum += g.epochs[cellKey{cx: cx, cy: cy}]
+			if c := g.lookup(cellKey{cx: cx, cy: cy}); c != nil {
+				sum += c.epoch
+			}
 		}
 	}
 	return sum

@@ -393,3 +393,38 @@ func TestRegionStampAgreesWithQuery(t *testing.T) {
 		lastStamp, lastIDs = stamp, append(lastIDs[:0], ids...)
 	}
 }
+
+// TestGridIDBoundsAndSparseMemory pins the dense-ID contract and the
+// memory bound: IDs outside [0, maxGridID) panic on Insert and are
+// absent for Remove, and far-apart points claim cell-table slots per
+// occupied cell, never per cell of their bounding box.
+func TestGridIDBoundsAndSparseMemory(t *testing.T) {
+	g, err := NewGrid(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, maxGridID} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%d) did not panic", id)
+				}
+			}()
+			g.Insert(id, geom.Pt(0, 0))
+		}()
+		g.Remove(id)
+	}
+	for i := 0; i < 10; i++ {
+		s := float64(i - 5)
+		g.Insert(i, geom.Pt(s*1e12, -s*1e12))
+	}
+	if g.Len() != 10 {
+		t.Fatalf("Len = %d, want 10", g.Len())
+	}
+	if len(g.cells) > 32 {
+		t.Errorf("10 occupied cells claimed a %d-slot table", len(g.cells))
+	}
+	if got := g.InRange(geom.Pt(2e12, -2e12), 1); !reflect.DeepEqual(got, []int{7}) {
+		t.Errorf("InRange near a far point = %v, want [7]", got)
+	}
+}
