@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: build test race fuzz cover bench smoke serve sweep motion strategies \
-	parallel vet doclint observability benchgate benchgate-quick bench-baseline ci
+	parallel vet fmt doclint observability benchgate benchgate-quick bench-baseline ci
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails the build on any file gofmt would rewrite.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # doclint fails the build on any exported identifier without a godoc
 # comment (see cmd/doclint).
@@ -180,4 +184,4 @@ parallel:
 	$(GO) test -run 'TestDeterminism|TestScaleWorldSmoke' ./internal/netsim/
 	$(GO) test -race -run 'TestDeterminismRaceParallelShards' ./internal/netsim/
 
-ci: vet doclint build test race fuzz cover smoke serve sweep motion strategies parallel observability benchgate-quick
+ci: vet fmt doclint build test race fuzz cover smoke serve sweep motion strategies parallel observability benchgate-quick

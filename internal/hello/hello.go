@@ -48,13 +48,6 @@ func NewTable(ttl sim.Time) *Table {
 	return &Table{ttl: ttl}
 }
 
-// Grow reserves room for n more neighbors, so a table seeded with a known
-// neighborhood is allocated once at its exact size.
-func (t *Table) Grow(n int) {
-	t.ids = slices.Grow(t.ids, n)
-	t.entries = slices.Grow(t.entries, n)
-}
-
 // Update records a received beacon at the given time.
 func (t *Table) Update(b Beacon, now sim.Time) {
 	i, ok := slices.BinarySearch(t.ids, b.ID)
@@ -64,6 +57,53 @@ func (t *Table) Update(b Beacon, now sim.Time) {
 	}
 	t.ids = slices.Insert(t.ids, i, b.ID)
 	t.entries = slices.Insert(t.entries, i, Entry{Beacon: b, LastSeen: now})
+}
+
+// UpdateBatch records a batch of beacons received at the same time, with
+// exactly the effect of calling Update for each in order. bs must be
+// sorted by ascending ID; of equal IDs the last wins, as with Update. The
+// batch is merged in one linear pass: a batch that only refreshes known
+// neighbors writes its rows in place and allocates nothing, and new
+// neighbors grow the table once, each existing row moving at most once.
+func (t *Table) UpdateBatch(bs []Beacon, now sim.Time) {
+	// Pass 1: refresh the rows already present and count the new ones.
+	added, i := 0, 0
+	for j, b := range bs {
+		if j+1 < len(bs) && bs[j+1].ID == b.ID {
+			continue // superseded by a later duplicate
+		}
+		for i < len(t.ids) && t.ids[i] < b.ID {
+			i++
+		}
+		if i < len(t.ids) && t.ids[i] == b.ID {
+			t.entries[i] = Entry{Beacon: b, LastSeen: now}
+		} else {
+			added++
+		}
+	}
+	if added == 0 {
+		return
+	}
+	// Pass 2: extend both columns and merge from the back, so existing
+	// rows shift right into place and new rows land in their gaps.
+	old := len(t.ids)
+	t.ids = slices.Grow(t.ids, added)[:old+added]
+	t.entries = slices.Grow(t.entries, added)[:old+added]
+	i, k := old-1, old+added-1
+	for j := len(bs) - 1; j >= 0 && k > i; j-- {
+		b := bs[j]
+		if j+1 < len(bs) && bs[j+1].ID == b.ID {
+			continue
+		}
+		for ; i >= 0 && t.ids[i] > b.ID; i, k = i-1, k-1 {
+			t.ids[k], t.entries[k] = t.ids[i], t.entries[i]
+		}
+		if i >= 0 && t.ids[i] == b.ID {
+			continue // refreshed in pass 1; shifts with the rows below it
+		}
+		t.ids[k], t.entries[k] = b.ID, Entry{Beacon: b, LastSeen: now}
+		k--
+	}
 }
 
 // Get returns the freshest entry for the given neighbor, if present and

@@ -86,8 +86,8 @@ type jsonSample struct {
 func (ts *TimeSeries) WriteJSONL(w io.Writer) error {
 	for _, s := range ts.Samples {
 		b, err := json.Marshal(jsonSample{
-			T:    float64(s.At),
-			TxJ:  s.Energy.Tx,
+			T:     float64(s.At),
+			TxJ:   s.Energy.Tx,
 			MoveJ: s.Energy.Move, ControlJ: s.Energy.Control, RxJ: s.Energy.Rx,
 			ResMin: s.ResidualMin, ResMean: s.ResidualMean,
 			Alive: s.AliveNodes, Delivered: s.DeliveredPackets,

@@ -105,7 +105,8 @@ func (n *node) shouldBeacon() bool {
 }
 
 // sendBeacon broadcasts the node's HELLO and records it as the last
-// advertised state.
+// advertised state. It is the per-message round's send; batched rounds
+// use World.queueBeacon (see hello_round.go).
 func (n *node) sendBeacon() {
 	w := n.world
 	b := w.getBeacon()
@@ -117,14 +118,6 @@ func (n *node) sendBeacon() {
 		return
 	}
 	n.lastAdvert = *b
-}
-
-// maybeBeacon broadcasts the node's HELLO if its advertised state has
-// drifted past the triggered-update thresholds.
-func (n *node) maybeBeacon() {
-	if n.shouldBeacon() {
-		n.sendBeacon()
-	}
 }
 
 // Receive implements radio.Endpoint: dispatch on message type.

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"testing"
 )
 
@@ -18,7 +20,37 @@ const (
 	goldenScaleBroadcasts = 8417
 	goldenScaleDelivered  = 123792
 	goldenScaleRefreshes  = 8417
+	// goldenScaleTables digests every node's final neighbor-table
+	// Snapshot (see tableDigest), captured from the per-message HELLO
+	// rounds. ModeNoMobility never reads a table, so the Result digest
+	// alone would not see a wrong row.
+	goldenScaleTables = "30b5b6d2ad3e4b7b"
 )
+
+// tableDigest hashes every node's neighbor-table Snapshot as of the
+// world's current time, in node order: row count, then each row's ID,
+// position, residual energy and last-seen time, bit-exact.
+func tableDigest(w *World) string {
+	h := sha256.New()
+	now := w.sched.Now()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, n := range w.nodes {
+		rows := n.neighbors.Snapshot(now)
+		put(uint64(len(rows)))
+		for _, e := range rows {
+			put(uint64(e.ID))
+			put(math.Float64bits(e.Position.X))
+			put(math.Float64bits(e.Position.Y))
+			put(math.Float64bits(e.Residual))
+			put(math.Float64bits(float64(e.LastSeen)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
 
 func TestScaleGoldenN5k(t *testing.T) {
 	w := buildScaleWorld(t, 5000, 50, false, 0)
@@ -40,5 +72,8 @@ func TestScaleGoldenN5k(t *testing.T) {
 	}
 	if w.recvRefreshes != goldenScaleRefreshes {
 		t.Errorf("receiver-set refreshes = %d, want %d", w.recvRefreshes, goldenScaleRefreshes)
+	}
+	if got := tableDigest(w); got != goldenScaleTables {
+		t.Errorf("neighbor-table digest %s, want %s", got, goldenScaleTables)
 	}
 }

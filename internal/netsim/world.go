@@ -93,6 +93,13 @@ type World struct {
 	shards     int
 	pre        []premove
 	beaconMark []bool
+	// beacons buffers the batched HELLO round (see hello_round.go). The
+	// other two are seams for the round-path differential test:
+	// perMessageHello forces every round onto the per-message path, and
+	// afterRound, when set, runs at the end of every round.
+	beacons         beaconBatch
+	perMessageHello bool
+	afterRound      func()
 	// topoGraph caches the t=0 connectivity graph across AddFlow calls:
 	// flows are added before Run, when no node has moved, so one graph
 	// serves them all (rebuilding it per flow is quadratic pain at 100k
@@ -195,50 +202,6 @@ type failure struct {
 	at   sim.Time
 }
 
-// beaconRound runs one HELLO round: every live node whose advertised
-// state has drifted re-broadcasts its beacon.
-func (w *World) beaconRound() error {
-	dead := w.store.dead
-	if w.canParallelScan() {
-		// Precompute every live node's drift decision across the shard
-		// workers, then send serially in id order — identical decisions
-		// and identical send order to the serial loop (shouldBeacon is
-		// read-only, and with control traffic uncharged the earlier sends
-		// of a round cannot change a later node's decision).
-		w.scanBeacons()
-		for i, n := range w.nodes {
-			if dead[i] || !w.beaconMark[i] {
-				continue
-			}
-			n.sendBeacon()
-		}
-	} else {
-		for i, n := range w.nodes {
-			if dead[i] {
-				continue
-			}
-			n.maybeBeacon()
-		}
-	}
-	// Watchdog: when every source has finished (or died) and no flow
-	// event has happened for a while, the run is over even if in-flight
-	// accounting lost a packet to silent loss.
-	const quietPeriod = 120
-	if w.sched.Now()-w.lastActivity > quietPeriod {
-		allDone := true
-		for _, fr := range w.flows {
-			if !fr.stalled && !fr.source.Done() {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			w.sched.Stop()
-		}
-	}
-	return nil
-}
-
 // NewWorld builds a world with the given node positions and initial
 // energies (parallel slices).
 func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, error) {
@@ -282,7 +245,8 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	}
 	w := &World{cfg: cfg, sched: sched, medium: medium, index: index, firstDeath: -1, injector: injector,
 		observing: cfg.Tracer != nil || cfg.Sink != nil,
-		syncRadio: cfg.Radio.Bandwidth <= 0}
+		syncRadio: cfg.Radio.Bandwidth <= 0,
+		beacons:   beaconBatch{maxPairs: beaconBatchPairs}}
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
 	w.shards = 1
@@ -350,21 +314,22 @@ func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 // seedNeighborTables performs the initial HELLO exchange: every node
 // learns its in-range neighbors' position and energy at t=0. The spatial
 // index serves each node's neighborhood in O(k), ascending, so each
-// table is filled in one appending pass at its exact size, reading
+// table is filled by one UpdateBatch merge at its exact size, reading
 // neighbor state straight from the node store.
 func (w *World) seedNeighborTables() {
 	st := &w.store
 	var buf []NodeID
+	var rows []hello.Beacon
 	for _, n := range w.nodes {
 		n.lastAdvert = n.beacon()
 		buf = w.index.AppendInRange(buf[:0], st.pos[n.id], w.cfg.Radio.Range)
-		n.neighbors.Grow(max(len(buf)-1, 0)) // buf holds n itself
+		rows = rows[:0]
 		for _, id := range buf {
-			if id == n.id {
-				continue
+			if id != n.id {
+				rows = append(rows, hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()})
 			}
-			n.neighbors.Update(hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()}, 0)
 		}
+		n.neighbors.UpdateBatch(rows, 0)
 	}
 }
 

@@ -266,6 +266,29 @@ func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg
 // number of receivers, or an error if the sender is unknown or died
 // mid-transmission.
 func (m *Medium) Broadcast(from NodeID, bits float64, cat energy.Category, msg any) (int, error) {
+	return m.fanOut(from, bits, cat, msg, nil)
+}
+
+// AppendBroadcast is Broadcast without the handoff: it charges the
+// sender, resolves the receivers in ascending ID order, consults the
+// fault hook for each, and counts the broadcast and its deliveries exactly
+// as Broadcast does, but instead of calling Receive it appends the IDs of
+// the receivers the message reached to dst and returns the extended
+// slice. The caller hands the message over itself. Deliveries are taken
+// as immediate — the zero-bandwidth path — whatever Config.Bandwidth is,
+// and receive-side energy is charged before the ID is appended; a
+// receiver that dies paying it is counted as a dead drop and left out.
+func (m *Medium) AppendBroadcast(dst []NodeID, from NodeID, bits float64, cat energy.Category) ([]NodeID, error) {
+	_, err := m.fanOut(from, bits, cat, nil, &dst)
+	return dst, err
+}
+
+// fanOut is the one broadcast loop behind Broadcast and AppendBroadcast.
+// Every receiver in range (ascending ID, the sender skipped) passes the
+// fault hook in that order; a survivor is then either handed msg through
+// deliver (out nil) or appended to *out after its receive-side charge.
+// It returns the number of receivers that survived the fault hook.
+func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any, out *[]NodeID) (int, error) {
 	sender := m.endpoint(from)
 	if sender == nil {
 		return 0, fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
@@ -292,12 +315,7 @@ func (m *Medium) Broadcast(from NodeID, bits float64, cat energy.Category, msg a
 			if id == from {
 				continue
 			}
-			if ep := m.endpoint(id); ep != nil {
-				if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(ep.Position()), m.cfg.Range) {
-					m.stats.FaultDrops++
-					continue
-				}
-				m.deliver(from, ep, bits, cat, msg)
+			if ep := m.endpoint(id); ep != nil && m.reach(from, id, ep, origin, bits, cat, msg, out) {
 				n++
 			}
 		}
@@ -306,19 +324,36 @@ func (m *Medium) Broadcast(from NodeID, bits float64, cat energy.Category, msg a
 	}
 	// Reference path: deterministic receiver order, ascending ID.
 	for id, ep := range m.endpoints {
-		if id == from || ep == nil {
+		if id == from || ep == nil || origin.Dist2(ep.Position()) > m.cfg.Range*m.cfg.Range {
 			continue
 		}
-		if origin.Dist2(ep.Position()) <= m.cfg.Range*m.cfg.Range {
-			if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(ep.Position()), m.cfg.Range) {
-				m.stats.FaultDrops++
-				continue
-			}
-			m.deliver(from, ep, bits, cat, msg)
+		if m.reach(from, id, ep, origin, bits, cat, msg, out) {
 			n++
 		}
 	}
 	return n, nil
+}
+
+// reach completes one broadcast delivery to an in-range receiver: the
+// fault hook may lose it, otherwise msg is delivered (out nil) or the
+// receiver's ID appended to *out. It reports whether the fault hook let
+// the delivery through.
+func (m *Medium) reach(from, id NodeID, ep Endpoint, origin geom.Point, bits float64, cat energy.Category, msg any, out *[]NodeID) bool {
+	if m.cfg.Faults != nil && m.cfg.Faults.Drop(from, id, origin.Dist(ep.Position()), m.cfg.Range) {
+		m.stats.FaultDrops++
+		return false
+	}
+	if out == nil {
+		m.deliver(from, ep, bits, cat, msg)
+		return true
+	}
+	if !m.chargeRx(ep, bits, cat) {
+		m.stats.DeadDrops++
+		return true
+	}
+	m.stats.Delivered++
+	*out = append(*out, id)
+	return true
 }
 
 func (m *Medium) charge(sender Endpoint, joules float64, cat energy.Category) error {

@@ -3,6 +3,7 @@ package radio
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
@@ -375,5 +376,91 @@ func TestNegativeRxCostRejected(t *testing.T) {
 	cfg.RxPerBit = -1
 	if _, err := NewMedium(sim.NewScheduler(), cfg); err == nil {
 		t.Error("negative rx cost should fail validation")
+	}
+}
+
+// alternateDrops is a scripted fault hook that logs every delivery it is
+// asked about and loses every other one.
+type alternateDrops struct{ calls [][2]NodeID }
+
+func (a *alternateDrops) Drop(from, to NodeID, _, _ float64) bool {
+	a.calls = append(a.calls, [2]NodeID{from, to})
+	return len(a.calls)%2 == 1
+}
+
+// scanLocator is a brute-force Locator over a fixed endpoint set.
+type scanLocator []*testNode
+
+func (l scanLocator) AppendInRange(dst []int, p geom.Point, r float64) []int {
+	for id, n := range l {
+		if n.pos.Dist(p) <= r {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// TestAppendBroadcastMatchesBroadcast checks that AppendBroadcast reports
+// exactly the receivers Broadcast hands the message to, asks the fault
+// hook about the same deliveries in the same order, and leaves the same
+// counters — with and without a locator, and with a receiver that dies
+// paying its receive-side energy.
+func TestAppendBroadcastMatchesBroadcast(t *testing.T) {
+	positions := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
+		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
+	}
+	for _, withLocator := range []bool{false, true} {
+		run := func(appendOnly bool) ([]NodeID, []*testNode, *alternateDrops, Stats) {
+			hook := &alternateDrops{}
+			cfg := defaultConfig()
+			cfg.Faults = hook
+			cfg.ChargeControl = true
+			cfg.RxPerBit = 1e-3
+			sched, m, nodes := setup(t, cfg, positions...)
+			nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits
+			if withLocator {
+				m.UseLocator(scanLocator(nodes))
+			}
+			var reached []NodeID
+			for _, from := range []NodeID{0, 2, 6} {
+				if appendOnly {
+					var err error
+					if reached, err = m.AppendBroadcast(reached, from, 800, energy.CatControl); err != nil {
+						t.Fatal(err)
+					}
+				} else if _, err := m.Broadcast(from, 800, energy.CatControl, from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sched.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return reached, nodes, hook, m.Stats()
+		}
+		reached, _, appendHook, appendStats := run(true)
+		_, nodes, hook, stats := run(false)
+		var received []NodeID
+		for _, from := range []NodeID{0, 2, 6} {
+			for id, n := range nodes {
+				for _, r := range n.received {
+					if r.from == from {
+						received = append(received, id)
+					}
+				}
+			}
+		}
+		if !slices.Equal(reached, received) {
+			t.Errorf("locator %v: AppendBroadcast reached %v, Broadcast delivered to %v", withLocator, reached, received)
+		}
+		if !slices.Equal(appendHook.calls, hook.calls) {
+			t.Errorf("locator %v: fault hook calls %v, want %v", withLocator, appendHook.calls, hook.calls)
+		}
+		if appendStats != stats {
+			t.Errorf("locator %v: stats %+v, want %+v", withLocator, appendStats, stats)
+		}
+		if stats.FaultDrops == 0 || stats.DeadDrops == 0 {
+			t.Errorf("locator %v: scene lost nothing (%+v)", withLocator, stats)
+		}
 	}
 }
