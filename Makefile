@@ -177,11 +177,13 @@ motion:
 # parallel runs the cross-scheduler determinism battery: every golden
 # scenario (zero-fault, faulty, each ambient-motion model, each registered
 # strategy) serial versus the conservative-lookahead scheduler at shards
-# {1,2,8} must produce byte-identical results, the stale-neighbor budget
-# contracts must hold, and the parallel paths must be race-clean with
-# real worker counts.
+# {1,2,8} must produce byte-identical results, HELLO rounds split across
+# {1,2,3,8} round workers must match the per-message round, the
+# stale-neighbor budget contracts must hold, and the parallel paths —
+# including a 2000-node world with forced round workers — must be
+# race-clean with real worker counts.
 parallel:
 	$(GO) test -run 'TestDeterminism|TestScaleWorldSmoke' ./internal/netsim/
-	$(GO) test -race -run 'TestDeterminismRaceParallelShards' ./internal/netsim/
+	$(GO) test -race -run 'TestDeterminismRaceParallelShards|TestScaleWorldSmoke' ./internal/netsim/
 
 ci: vet fmt doclint build test race fuzz cover smoke serve sweep motion strategies parallel observability benchgate-quick

@@ -146,8 +146,8 @@ type Config struct {
 	Motion *MotionConfig
 	// Parallel runs the simulation on the conservative-lookahead
 	// windowed scheduler, which precomputes independent per-node work
-	// (ambient motion steps, HELLO drift scans) across Shards worker
-	// goroutines while firing events in exact serial order — results
+	// (ambient motion steps) across Shards worker goroutines while
+	// firing events in exact serial order — results
 	// are byte-identical to the default serial scheduler. Off by
 	// default.
 	Parallel bool

@@ -155,10 +155,11 @@ type Config struct {
 	// Parallel, when true, runs the world on the conservative-lookahead
 	// windowed scheduler (sim.RunUntilWindowed): events inside one
 	// lookahead window are batched, the pure per-node work (ambient
-	// motion steps, beacon drift scans) is precomputed across Shards
-	// worker goroutines, and the events then fire in exact (time, seq)
-	// order — so results stay byte-identical to the serial scheduler
-	// (the cross-scheduler determinism battery pins it). Off by default.
+	// motion steps) is precomputed across Shards worker goroutines, and
+	// the events then fire in exact (time, seq) order — so results stay
+	// byte-identical to the serial scheduler (the cross-scheduler
+	// determinism battery pins it). Off by default. Large HELLO rounds
+	// use the host's cores under either scheduler (see hello_round.go).
 	Parallel bool
 	// Shards is the worker-goroutine count for Parallel runs. Zero picks
 	// min(GOMAXPROCS, 8); negative is invalid. Ignored when Parallel is

@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/motion"
+	"repro/internal/sim"
 	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -201,27 +202,35 @@ func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 //     counter-asserted via World.recvRefreshes like spatial.Rebuckets.
 func TestDeterminismStaleNeighborBudget(t *testing.T) {
 	t.Run("stationary-zero-recomputes", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Mode = ModeNoMobility
-		cfg.NeighborIndex = spatial.KindGrid
-		cfg.NeighborStaleness = 1e9 // one snapshot per sender, ever
-		pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
-		energies := []float64{500, 500, 500, 500}
-		w, err := NewWorld(cfg, pts, energies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// Each sender computes its snapshot once; nothing moves, so no
-		// snapshot is ever recomputed.
-		if w.recvRefreshes > uint64(len(pts)) {
-			t.Errorf("stationary world recomputed receiver snapshots: %d refreshes for %d nodes",
-				w.recvRefreshes, len(pts))
+		// Budget mode with an endless budget, and exact mode, where an
+		// unmoved sender revalidates its snapshot by region stamp.
+		for _, staleness := range []sim.Time{1e9, 0} {
+			cfg := DefaultConfig()
+			cfg.Mode = ModeNoMobility
+			cfg.NeighborIndex = spatial.KindGrid
+			cfg.NeighborStaleness = staleness
+			cfg.BeaconMoveEps = 0 // every node beacons every round
+			pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
+			energies := []float64{500, 500, 500, 500}
+			w, err := NewWorld(cfg, pts, energies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// Each sender computes its snapshot once; nothing moves, so no
+			// snapshot is ever recomputed.
+			if w.medium.Stats().Broadcasts <= uint64(len(pts)) {
+				t.Fatalf("staleness %v: only %d broadcasts, too few to recompute anything", staleness, w.medium.Stats().Broadcasts)
+			}
+			if w.recvRefreshes > uint64(len(pts)) {
+				t.Errorf("staleness %v: stationary world recomputed receiver snapshots: %d refreshes for %d nodes",
+					staleness, w.recvRefreshes, len(pts))
+			}
 		}
 	})
 
@@ -318,9 +327,9 @@ func TestDeterminismStaleNeighborBudget(t *testing.T) {
 	})
 }
 
-// TestDeterminismRaceParallelShards exists to run the windowed scheduler,
-// the sharded motion precompute, and the parallel beacon scan under the
-// race detector (the Makefile race target selects tests by this name).
+// TestDeterminismRaceParallelShards exists to run the windowed scheduler
+// and the sharded motion precompute under the race detector (the
+// Makefile race target selects tests by this name).
 func TestDeterminismRaceParallelShards(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		shards := shards

@@ -7,25 +7,29 @@ import (
 	"repro/internal/fault"
 	"repro/internal/motion"
 	"repro/internal/radio"
+	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
 // roundPathRun is everything a HELLO round may influence, as observed by
-// TestHelloRoundPathsAgree: every node's table digest after every round,
-// the medium counters, and the Result.
+// the round-path differential tests: every node's table digest after
+// every round, the medium counters, the receiver-set refreshes, and the
+// Result.
 type roundPathRun struct {
 	tables     []string
 	maxDeliver uint64 // most deliveries in one round
 	medium     radio.Stats
+	refreshes  uint64
 	result     []byte
-	batched    bool // the two-phase round's buffers were used
+	batched    bool   // the two-phase round's buffers were used
+	split      uint64 // rounds that took the data-parallel split
 }
 
 // runRoundPath builds the 80-node differential scene under cfg, with the
-// per-message round forced on or off and the apply threshold at maxPairs,
-// and runs it to completion.
-func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int) roundPathRun {
+// per-message round forced on or off, the apply threshold at maxPairs and
+// the round split at split, and runs it to completion.
+func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split roundSplit) roundPathRun {
 	t.Helper()
 	src := stats.NewSource(77)
 	pts := topo.PlaceUniform(src, 80, 700, 700)
@@ -33,7 +37,7 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int) round
 	for i := range energies {
 		energies[i] = src.Uniform(2000, 6000)
 	}
-	w, err := NewWorld(cfg, pts, energies)
+	w, err := newWorld(cfg, pts, energies, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,58 +75,124 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int) round
 		t.Fatal(err)
 	}
 	run.medium = w.medium.Stats()
+	run.refreshes = w.recvRefreshes
 	run.batched = cap(w.beacons.recv) > 0
+	run.split = w.splitRounds
 	return run
 }
 
-// TestHelloRoundPathsAgree is the differential test of the two HELLO
-// round paths: the same worlds run with batched (two-phase) rounds and
-// with per-message rounds must agree on every table after every round,
-// on the medium counters and on the whole Result. The scenes cover
-// drift with loss, retry, route repair and expiring tables; crashes and
-// recoveries in informed mode, where relays read the tables; the
-// parallel drift pre-scan; and an apply threshold low enough that rounds
-// are applied in several chunks.
-func TestHelloRoundPathsAgree(t *testing.T) {
+// forcedSplit splits every round and the seeding across workers, and
+// resolves senders in windows of 16, so the 80-node scene crosses
+// several windows per round.
+func forcedSplit(workers int) roundSplit {
+	return roundSplit{workers: workers, minSenders: 1, window: 16}
+}
+
+// roundScene is one configuration of the round-path differential scene.
+// maxPairs is the apply threshold; workers, when positive, forces the
+// data-parallel split with that many workers.
+type roundScene struct {
+	name     string
+	mutate   func(*Config)
+	maxPairs int
+	workers  int
+}
+
+// roundScenes are the scenes both differential tests run: drift with
+// loss, retry, route repair and expiring tables; crashes and recoveries
+// in informed mode, where relays read the tables; the parallel
+// scheduler; an apply threshold low enough that rounds are applied in
+// several chunks; budget-mode receiver sets; and the brute-force index,
+// which bypasses the receiver cache.
+func roundScenes() []roundScene {
 	drift := &motion.Config{Model: motion.ModelGaussMarkov, Seed: 11, FieldW: 700, FieldH: 700, SpeedLo: 0.5, SpeedHi: 2}
-	scenes := []struct {
-		name     string
-		mutate   func(*Config)
-		maxPairs int
-	}{
+	return []roundScene{
 		{"drift-loss-ttl", func(cfg *Config) {
 			cfg.Mode = ModeCostUnaware
 			cfg.Motion = drift
 			cfg.NeighborTTL = 3
 			cfg.Faults = &fault.Config{LossP: 0.1, Seed: 3, RetryLimit: 3, RetryTimeout: 0.25, RouteRepair: true}
-		}, beaconBatchPairs},
+		}, beaconBatchPairs, 0},
 		{"crash-recovery-informed", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.Faults = &fault.Config{
 				LossP: 0.05, Seed: 5, RetryLimit: 2, RetryTimeout: 0.3, RouteRepair: true,
 				Crashes: []fault.Crash{{Node: 3, At: 20, RecoverAt: 90}, {Node: 17, At: 35}, {Node: 41, At: 5, RecoverAt: 60}},
 			}
-		}, beaconBatchPairs},
-		{"parallel-prescan", func(cfg *Config) {
+		}, beaconBatchPairs, 0},
+		{"parallel-scheduler", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.Parallel = true
 			cfg.Shards = 2
-		}, beaconBatchPairs},
+		}, beaconBatchPairs, 2},
 		{"chunked-apply", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.NeighborTTL = 2
-		}, 40},
+		}, 40, 0},
+		{"staleness-budget", func(cfg *Config) {
+			cfg.Motion = drift
+			cfg.NeighborStaleness = 3
+		}, beaconBatchPairs, 0},
+		{"brute-index", func(cfg *Config) {
+			cfg.Motion = drift
+			cfg.NeighborIndex = spatial.KindBrute
+		}, beaconBatchPairs, 0},
 	}
-	for _, sc := range scenes {
+}
+
+// config is the scene's configuration on top of the shared base.
+func (sc roundScene) config() Config {
+	cfg := DefaultConfig()
+	cfg.Mode = ModeInformed
+	cfg.Horizon = 300
+	sc.mutate(&cfg)
+	return cfg
+}
+
+// sameRun fails t unless got agrees with the per-message reference on
+// every table after every round, the medium counters, the receiver-set
+// refreshes and the whole Result.
+func sameRun(t *testing.T, got, want roundPathRun) {
+	t.Helper()
+	if len(got.tables) != len(want.tables) {
+		t.Fatalf("%d rounds vs %d per-message", len(got.tables), len(want.tables))
+	}
+	for i := range got.tables {
+		if got.tables[i] != want.tables[i] {
+			t.Fatalf("tables diverge after round %d: %s, per-message %s", i, got.tables[i], want.tables[i])
+		}
+	}
+	if got.medium != want.medium {
+		t.Errorf("medium stats: %+v, per-message %+v", got.medium, want.medium)
+	}
+	if got.refreshes != want.refreshes {
+		t.Errorf("receiver-set refreshes: %d, per-message %d", got.refreshes, want.refreshes)
+	}
+	if string(got.result) != string(want.result) {
+		t.Errorf("results diverge:\ngot         %s\nper-message %s", got.result, want.result)
+	}
+}
+
+// TestHelloRoundPathsAgree is the differential test of the two HELLO
+// round paths: the same worlds run with batched (two-phase) rounds and
+// with per-message rounds must agree on every table after every round,
+// on the medium counters and on the whole Result, over roundScenes. The
+// parallel-scheduler scene runs its rounds split across two workers.
+func TestHelloRoundPathsAgree(t *testing.T) {
+	for _, sc := range roundScenes() {
 		t.Run(sc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Mode = ModeInformed
-			cfg.Horizon = 300
-			sc.mutate(&cfg)
-			batched := runRoundPath(t, cfg, false, sc.maxPairs)
-			perMsg := runRoundPath(t, cfg, true, sc.maxPairs)
+			cfg := sc.config()
+			split := defaultRoundSplit()
+			if sc.workers > 0 {
+				split = forcedSplit(sc.workers)
+			}
+			batched := runRoundPath(t, cfg, false, sc.maxPairs, split)
+			perMsg := runRoundPath(t, cfg, true, sc.maxPairs, split)
 			if !batched.batched || perMsg.batched {
 				t.Fatalf("round paths not as forced: batched used buffers %v, per-message %v", batched.batched, perMsg.batched)
+			}
+			if (batched.split > 0) != (sc.workers > 0) {
+				t.Fatalf("%d split rounds with %d forced workers", batched.split, sc.workers)
 			}
 			if batched.medium.Delivered == 0 {
 				t.Fatal("no deliveries: the scene exercises nothing")
@@ -130,19 +200,31 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 			if sc.maxPairs < beaconBatchPairs && batched.maxDeliver <= uint64(sc.maxPairs) {
 				t.Fatalf("largest round delivered %d beacons, not above the %d-pair threshold", batched.maxDeliver, sc.maxPairs)
 			}
-			if len(batched.tables) != len(perMsg.tables) {
-				t.Fatalf("%d rounds batched vs %d per-message", len(batched.tables), len(perMsg.tables))
-			}
-			for i := range batched.tables {
-				if batched.tables[i] != perMsg.tables[i] {
-					t.Fatalf("tables diverge after round %d: batched %s, per-message %s", i, batched.tables[i], perMsg.tables[i])
+			sameRun(t, batched, perMsg)
+		})
+	}
+}
+
+// TestDeterminismHelloRoundWorkers pins the data-parallel round: with
+// every round and the seeding forced onto the split, at 1, 2, 3 and 8
+// workers, each of roundScenes must match the per-message round on
+// every table after every round, the medium counters, the receiver-set
+// refreshes and the Result. The Makefile's race and parallel targets
+// select it by name.
+func TestDeterminismHelloRoundWorkers(t *testing.T) {
+	for _, sc := range roundScenes() {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := sc.config()
+			want := runRoundPath(t, cfg, true, sc.maxPairs, defaultRoundSplit())
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := runRoundPath(t, cfg, false, sc.maxPairs, forcedSplit(workers))
+				if (got.split > 0) != (workers > 1) {
+					t.Fatalf("workers=%d: %d rounds split", workers, got.split)
 				}
-			}
-			if batched.medium != perMsg.medium {
-				t.Errorf("medium stats: batched %+v, per-message %+v", batched.medium, perMsg.medium)
-			}
-			if string(batched.result) != string(perMsg.result) {
-				t.Errorf("results diverge:\nbatched     %s\nper-message %s", batched.result, perMsg.result)
+				if sc.maxPairs < beaconBatchPairs && got.maxDeliver <= uint64(sc.maxPairs) {
+					t.Fatalf("workers=%d: largest round delivered %d beacons, not above the %d-pair threshold", workers, got.maxDeliver, sc.maxPairs)
+				}
+				sameRun(t, got, want)
 			}
 		})
 	}
@@ -158,7 +240,7 @@ func TestPositiveBandwidthWorldSmoke(t *testing.T) {
 	cfg.Mode = ModeCostUnaware
 	cfg.Horizon = 300
 	cfg.Radio.Bandwidth = 2e6
-	run := runRoundPath(t, cfg, false, beaconBatchPairs)
+	run := runRoundPath(t, cfg, false, beaconBatchPairs, defaultRoundSplit())
 	if run.batched {
 		t.Fatal("positive-bandwidth rounds took the batched path")
 	}

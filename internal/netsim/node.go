@@ -83,9 +83,7 @@ func (n *node) beacon() hello.Beacon {
 }
 
 // shouldBeacon reports whether the node's advertised state has drifted
-// past the triggered-update thresholds. It only reads node state, which
-// is what lets the parallel beacon scan evaluate it off-thread (see
-// World.scanBeacons) with the same answers the serial round computes.
+// past the triggered-update thresholds. It only reads node state.
 func (n *node) shouldBeacon() bool {
 	w := n.world
 	// Most nodes are stationary between HELLO rounds (only on-path relays

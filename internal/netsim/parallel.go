@@ -6,29 +6,23 @@ package netsim
 // lookahead window and shows them to prepareWindow before any of them
 // fires. Firing stays strictly serial and in exact (time, seq) order —
 // what the workers parallelize is only the *pure precomputation* of
-// callbacks whose effects are provably confined to their own node:
+// ambient motion steps, whose effects are provably confined to their own
+// node. A motion model draws exclusively from the stepped node's own
+// stream (or its group's — see motion.StreamSharder), and a step reads
+// only the node's own position, so steps of distinct nodes commute.
+// prepareWindow precomputes the *leading prefix* of motion events in the
+// batch: because the prefix is leading, the only events that fire before
+// entry k are earlier prefix entries, and those mutate nothing entry k
+// reads (each node appears at most once per window since the lookahead
+// never exceeds the motion interval). A single non-motion event at the
+// head of the batch therefore empties the prefix and the world degrades
+// to exact serial behavior — the conservative fallback.
 //
-//   - Ambient motion steps. A motion model draws exclusively from the
-//     stepped node's own stream (or its group's — see motion.StreamSharder),
-//     and a step reads only the node's own position, so steps of distinct
-//     nodes commute. prepareWindow precomputes the *leading prefix* of
-//     motion events in the batch: because the prefix is leading, the only
-//     events that fire before entry k are earlier prefix entries, and those
-//     mutate nothing entry k reads (each node appears at most once per
-//     window since the lookahead never exceeds the motion interval). A
-//     single non-motion event at the head of the batch therefore empties
-//     the prefix and the world degrades to exact serial behavior — the
-//     conservative fallback.
-//
-//   - HELLO drift scans. shouldBeacon is read-only, and when control
-//     traffic is uncharged (Radio.ChargeControl off) the broadcasts of a
-//     beacon round cannot change a later node's drift decision, so the
-//     per-node decisions of a whole round can be evaluated concurrently
-//     and the sends replayed serially in id order.
-//
-// Both precomputations produce bit-identical state transitions to the
+// The precomputation produces bit-identical state transitions to the
 // serial scheduler; the cross-scheduler determinism battery
-// (determinism_test.go) pins this for every golden scenario.
+// (determinism_test.go) pins this for every golden scenario. HELLO rounds
+// parallelize inside the round itself, under either scheduler (see
+// hello_round.go).
 
 import (
 	"fmt"
@@ -149,41 +143,6 @@ func (w *World) precomputeMotion(prefix []sim.QueuedEvent) {
 				w.pre[id] = premove{from: cur, next: w.motionModel.Step(id, cur, interval), ok: true}
 			}
 		}(shard)
-	}
-	wg.Wait()
-}
-
-// canParallelScan reports whether beacon rounds may precompute drift
-// decisions concurrently: only when the run is parallel with real workers
-// and control traffic is uncharged — a charged beacon send could deplete
-// the sender mid-round and change a later node's decision, which the
-// serial loop would observe and a pre-scan would not.
-func (w *World) canParallelScan() bool {
-	return w.cfg.Parallel && w.shards > 1 && !w.cfg.Radio.ChargeControl && len(w.nodes) >= w.shards
-}
-
-// scanBeacons evaluates shouldBeacon for every node across the shard
-// workers into w.beaconMark. Decisions are read-only, so any partition
-// works; contiguous id ranges keep the store scans dense.
-func (w *World) scanBeacons() {
-	if w.beaconMark == nil {
-		w.beaconMark = make([]bool, len(w.nodes))
-	}
-	n := len(w.nodes)
-	chunk := (n + w.shards - 1) / w.shards
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				w.beaconMark[i] = !w.store.dead[i] && w.nodes[i].shouldBeacon()
-			}
-		}(lo, hi)
 	}
 	wg.Wait()
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/motion"
@@ -139,21 +140,32 @@ func BenchmarkWorld100k(b *testing.B) {
 
 // TestScaleWorldSmoke keeps the benchmark scenario builder honest in the
 // ordinary test run: a scaled-down rung must complete with most flows
-// delivered, under both schedulers, with identical results.
+// delivered, under both schedulers, with identical results — and with
+// its rounds forced onto four round workers in small windows, which the
+// Makefile's parallel target runs under the race detector.
 func TestScaleWorldSmoke(t *testing.T) {
-	run := func(parallel bool, shards int) Result {
+	run := func(parallel bool, shards int, split *roundSplit) Result {
 		w := buildScaleWorld(t, 2000, 20, parallel, shards)
+		if split != nil {
+			w.round = *split
+		}
 		res, err := w.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if split != nil && w.splitRounds == 0 {
+			t.Error("no HELLO round took the forced split")
+		}
 		return res
 	}
-	serial := run(false, 0)
-	parallel := run(true, 4)
+	serial := run(false, 0, nil)
+	parallel := run(true, 4, nil)
 	if serial.Duration != parallel.Duration || serial.Energy != parallel.Energy {
 		t.Errorf("scale scenario diverged across schedulers: serial %+v vs parallel %+v",
 			serial.Energy, parallel.Energy)
+	}
+	if split := run(false, 0, &roundSplit{workers: 4, minSenders: 1, window: 256}); !reflect.DeepEqual(split, serial) {
+		t.Errorf("scale scenario diverged with forced round workers: %+v vs serial %+v", split.Energy, serial.Energy)
 	}
 	completed := 0
 	for _, fo := range serial.Flows {

@@ -52,8 +52,15 @@ func tableDigest(w *World) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
+// TestScaleGoldenN5k also pins that the scene's rounds take the
+// data-parallel split with more than one worker — by default on any
+// multi-core host, forced onto two workers on a single-core one — so the
+// golden constants above cover the split.
 func TestScaleGoldenN5k(t *testing.T) {
 	w := buildScaleWorld(t, 5000, 50, false, 0)
+	if w.round.workers < 2 {
+		w.round = roundSplit{workers: 2, minSenders: splitMinSenders, window: splitWindow}
+	}
 	res, err := w.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -75,5 +82,8 @@ func TestScaleGoldenN5k(t *testing.T) {
 	}
 	if got := tableDigest(w); got != goldenScaleTables {
 		t.Errorf("neighbor-table digest %s, want %s", got, goldenScaleTables)
+	}
+	if w.splitRounds == 0 {
+		t.Errorf("no HELLO round took the %d-worker split", w.round.workers)
 	}
 }

@@ -86,36 +86,56 @@ func (w *World) moveNode(id NodeID, p geom.Point) {
 // recvCache is one node's cached broadcast receiver set (see
 // appendReceivers): the ids last returned for this sender, plus the
 // validation state for both caching modes — the grid region stamp and
-// query cell for exact mode, the compute time for budget mode.
+// query position for exact mode, the compute time for budget mode.
 type recvCache struct {
 	ids      []NodeID
 	stamp    uint64
-	cx, cy   int32
+	pos      geom.Point
 	at       sim.Time
 	valid    bool
 	everInit bool
 }
 
 // appendReceivers implements the world side of radio.SenderLocator: the
-// broadcast receiver set of node from, served from a per-sender cache.
+// broadcast receiver set of node from, served from a per-sender cache
+// (see resolveReceivers), counting each recomputation in recvRefreshes.
+func (w *World) appendReceivers(dst []NodeID, from NodeID, p geom.Point, r float64) []NodeID {
+	dst, refreshed := w.resolveReceivers(dst, from, p, r)
+	if refreshed {
+		w.recvRefreshes++
+	}
+	return dst
+}
+
+// resolveReceivers appends node from's broadcast receiver set to dst and
+// reports whether the cached set had to be recomputed.
 //
 // Exact mode (NeighborStaleness == 0, the default): the cache is reused
-// only while the sender's cell and the grid's RegionStamp over its query
-// rectangle are unchanged — conditions under which the underlying range
-// query provably returns the same ids — so results are byte-identical to
-// querying the index every time, and a fully stationary neighborhood
-// recomputes zero snapshots (TestStaleStationaryZeroRecomputes pins it).
+// only while the sender's position and the grid's RegionStamp over its
+// query rectangle are unchanged — conditions under which the underlying
+// range query provably returns the same ids — so results are
+// byte-identical to querying the index every time, and a fully
+// stationary neighborhood recomputes zero snapshots
+// (TestDeterminismStaleNeighborBudget pins it). A sender that moved
+// since its last query bumped its own cell's epoch, so its stamp cannot
+// match: only an unmoved sender pays for the stamp, and a refresh takes
+// the new stamp in the query's own pass.
 //
 // Budget mode (NeighborStaleness > 0): the cache is reused until the
 // sender crosses a grid cell (moveNode invalidates it) or the staleness
 // budget expires, and each refresh drops dead nodes. Receiver sets may
 // then lag reality by up to one budget — the documented stale-tolerant
 // approximation that removes per-beacon range queries under churn.
-func (w *World) appendReceivers(dst []NodeID, from NodeID, p geom.Point, r float64) []NodeID {
+//
+// It writes only from's own cache slot and otherwise reads the index and
+// the node store, so distinct senders may be resolved concurrently while
+// nothing moves or dies (see hello_round.go).
+func (w *World) resolveReceivers(dst []NodeID, from NodeID, p geom.Point, r float64) ([]NodeID, bool) {
 	if w.grid == nil || r != w.cfg.Radio.Range {
-		return w.index.AppendInRange(dst, p, r)
+		return w.index.AppendInRange(dst, p, r), false
 	}
 	c := &w.recv[from]
+	refreshed := false
 	if w.cfg.NeighborStaleness > 0 {
 		now := w.sched.Now()
 		if !c.valid || now-c.at > w.cfg.NeighborStaleness {
@@ -128,19 +148,14 @@ func (w *World) appendReceivers(dst []NodeID, from NodeID, p geom.Point, r float
 			}
 			c.ids = live
 			c.at, c.valid = now, true
-			w.recvRefreshes++
+			refreshed = true
 		}
-		return append(dst, c.ids...)
+	} else if !c.everInit || c.pos != p || c.stamp != w.grid.RegionStamp(p, r) {
+		c.ids, c.stamp = w.grid.AppendInRangeStamp(c.ids[:0], p, r)
+		c.pos, c.everInit = p, true
+		refreshed = true
 	}
-	cx, cy := w.store.cellX[from], w.store.cellY[from]
-	stamp := w.grid.RegionStamp(p, r)
-	if !c.everInit || c.cx != cx || c.cy != cy || c.stamp != stamp {
-		c.ids = w.index.AppendInRange(c.ids[:0], p, r)
-		c.cx, c.cy, c.stamp = cx, cy, stamp
-		c.everInit = true
-		w.recvRefreshes++
-	}
-	return append(dst, c.ids...)
+	return append(dst, c.ids...), refreshed
 }
 
 // worldLocator adapts the world's index and receiver cache onto the

@@ -88,16 +88,19 @@ type World struct {
 	recv          []recvCache
 	recvRefreshes uint64
 	// shards is the worker count for parallel runs (1 when Parallel is
-	// off); pre and beaconMark are the precompute scratch tables of the
-	// lookahead window (see parallel.go).
-	shards     int
-	pre        []premove
-	beaconMark []bool
-	// beacons buffers the batched HELLO round (see hello_round.go). The
-	// other two are seams for the round-path differential test:
-	// perMessageHello forces every round onto the per-message path, and
-	// afterRound, when set, runs at the end of every round.
+	// off); pre is the motion precompute table of the lookahead window
+	// (see parallel.go).
+	shards int
+	pre    []premove
+	// beacons buffers the batched HELLO round, round sizes the round's
+	// data-parallel split, and splitRounds counts the rounds that took
+	// it (see hello_round.go). The other two are seams for the
+	// round-path differential tests: perMessageHello forces every round
+	// onto the per-message path, and afterRound, when set, runs at the end
+	// of every round.
 	beacons         beaconBatch
+	round           roundSplit
+	splitRounds     uint64
 	perMessageHello bool
 	afterRound      func()
 	// topoGraph caches the t=0 connectivity graph across AddFlow calls:
@@ -205,6 +208,12 @@ type failure struct {
 // NewWorld builds a world with the given node positions and initial
 // energies (parallel slices).
 func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, error) {
+	return newWorld(cfg, positions, energies, defaultRoundSplit())
+}
+
+// newWorld is NewWorld with the HELLO round split given, so tests can
+// force the data-parallel seeding and rounds onto small scenes.
+func newWorld(cfg Config, positions []geom.Point, energies []float64, split roundSplit) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -246,7 +255,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 	w := &World{cfg: cfg, sched: sched, medium: medium, index: index, firstDeath: -1, injector: injector,
 		observing: cfg.Tracer != nil || cfg.Sink != nil,
 		syncRadio: cfg.Radio.Bandwidth <= 0,
-		beacons:   beaconBatch{maxPairs: beaconBatchPairs}}
+		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
 	w.shards = 1
@@ -315,12 +324,27 @@ func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 // learns its in-range neighbors' position and energy at t=0. The spatial
 // index serves each node's neighborhood in O(k), ascending, so each
 // table is filled by one UpdateBatch merge at its exact size, reading
-// neighbor state straight from the node store.
+// neighbor state straight from the node store. Nodes are independent —
+// index and store reads plus one table each — so a world of at least
+// round.minSenders nodes seeds contiguous ID ranges on the round workers.
 func (w *World) seedNeighborTables() {
+	parts := w.round.parts(len(w.nodes))
+	workers := w.roundWorkers(parts)
+	if parts == 1 {
+		w.seedRange(w.nodes, &workers[0])
+		return
+	}
+	fork(parts, func(k int) {
+		w.seedRange(w.nodes[k*len(w.nodes)/parts:(k+1)*len(w.nodes)/parts], &workers[k])
+	})
+}
+
+// seedRange seeds the tables of one worker's run of nodes, using the
+// worker's buffers.
+func (w *World) seedRange(nodes []*node, rw *roundWorker) {
 	st := &w.store
-	var buf []NodeID
-	var rows []hello.Beacon
-	for _, n := range w.nodes {
+	buf, rows := rw.ids[:0], rw.rows[:0]
+	for _, n := range nodes {
 		n.lastAdvert = n.beacon()
 		buf = w.index.AppendInRange(buf[:0], st.pos[n.id], w.cfg.Radio.Range)
 		rows = rows[:0]
@@ -331,6 +355,7 @@ func (w *World) seedNeighborTables() {
 		}
 		n.neighbors.UpdateBatch(rows, 0)
 	}
+	rw.ids, rw.rows = buf, rows
 }
 
 // Graph returns the unit-disk connectivity graph over current positions,

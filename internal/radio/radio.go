@@ -283,23 +283,33 @@ func (m *Medium) AppendBroadcast(dst []NodeID, from NodeID, bits float64, cat en
 	return dst, err
 }
 
-// fanOut is the one broadcast loop behind Broadcast and AppendBroadcast.
-// Every receiver in range (ascending ID, the sender skipped) passes the
-// fault hook in that order; a survivor is then either handed msg through
+// AppendBroadcastTo is AppendBroadcast with the receivers resolved by the
+// caller: ids must be the set the installed locator would report for
+// from's broadcast at this moment (ascending, the sender may be listed).
+// Everything after the lookup is AppendBroadcast's — the sender charge,
+// the fault hook consulted per receiver in ids order, the receive charge
+// and every counter — so receiver sets can be resolved ahead of time,
+// concurrently, and accounted for here serially in send order.
+func (m *Medium) AppendBroadcastTo(dst []NodeID, from NodeID, ids []NodeID, bits float64, cat energy.Category) ([]NodeID, error) {
+	sender, err := m.keyUp(from, bits, cat)
+	if err != nil {
+		return dst, err
+	}
+	m.reachAll(from, sender.Position(), ids, bits, cat, nil, &dst)
+	return dst, nil
+}
+
+// fanOut is the broadcast behind Broadcast and AppendBroadcast. Every
+// receiver in range (ascending ID, the sender skipped) passes the fault
+// hook in that order; a survivor is then either handed msg through
 // deliver (out nil) or appended to *out after its receive-side charge.
 // It returns the number of receivers that survived the fault hook.
 func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any, out *[]NodeID) (int, error) {
-	sender := m.endpoint(from)
-	if sender == nil {
-		return 0, fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
-	}
-	m.stats.Broadcasts++
-	if err := m.charge(sender, m.cfg.Tx.TxEnergy(m.cfg.Range, bits), cat); err != nil {
-		m.stats.DeadDrops++
-		return 0, fmt.Errorf("radio: broadcast from %d: %w", from, err)
+	sender, err := m.keyUp(from, bits, cat)
+	if err != nil {
+		return 0, err
 	}
 	origin := sender.Position()
-	n := 0
 	if m.locator != nil {
 		// O(k) receiver lookup via the spatial index; ascending-ID order
 		// is part of the Locator contract. Detach the scratch buffer while
@@ -311,18 +321,12 @@ func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any,
 		} else {
 			ids = m.locator.AppendInRange(ids, origin, m.cfg.Range)
 		}
-		for _, id := range ids {
-			if id == from {
-				continue
-			}
-			if ep := m.endpoint(id); ep != nil && m.reach(from, id, ep, origin, bits, cat, msg, out) {
-				n++
-			}
-		}
+		n := m.reachAll(from, origin, ids, bits, cat, msg, out)
 		m.scratch = ids
 		return n, nil
 	}
 	// Reference path: deterministic receiver order, ascending ID.
+	n := 0
 	for id, ep := range m.endpoints {
 		if id == from || ep == nil || origin.Dist2(ep.Position()) > m.cfg.Range*m.cfg.Range {
 			continue
@@ -332,6 +336,38 @@ func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any,
 		}
 	}
 	return n, nil
+}
+
+// keyUp starts a broadcast from node from: it counts the broadcast and
+// charges the sender one full-range transmission, returning the sender's
+// endpoint, or an error if the sender is unknown or died paying.
+func (m *Medium) keyUp(from NodeID, bits float64, cat energy.Category) (Endpoint, error) {
+	sender := m.endpoint(from)
+	if sender == nil {
+		return nil, fmt.Errorf("%w: sender %d", ErrUnknownNode, from)
+	}
+	m.stats.Broadcasts++
+	if err := m.charge(sender, m.cfg.Tx.TxEnergy(m.cfg.Range, bits), cat); err != nil {
+		m.stats.DeadDrops++
+		return nil, fmt.Errorf("radio: broadcast from %d: %w", from, err)
+	}
+	return sender, nil
+}
+
+// reachAll walks a located receiver list — ascending IDs, the sender
+// skipped, unregistered IDs ignored — through reach, and returns how many
+// receivers survived the fault hook.
+func (m *Medium) reachAll(from NodeID, origin geom.Point, ids []NodeID, bits float64, cat energy.Category, msg any, out *[]NodeID) int {
+	n := 0
+	for _, id := range ids {
+		if id == from {
+			continue
+		}
+		if ep := m.endpoint(id); ep != nil && m.reach(from, id, ep, origin, bits, cat, msg, out) {
+			n++
+		}
+	}
+	return n
 }
 
 // reach completes one broadcast delivery to an in-range receiver: the

@@ -464,3 +464,88 @@ func TestAppendBroadcastMatchesBroadcast(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBroadcastToMatchesAppendBroadcast checks that a broadcast
+// whose receivers the caller resolved ahead of time is accounted exactly
+// like one the medium locates itself: the same reached IDs, counters,
+// fault-hook calls in the same order and battery charges, on an ideal
+// channel, a lossy one with a scripted hook, and one that charges
+// receivers (where a receiver dies paying and a sender dies keying up).
+func TestAppendBroadcastToMatchesAppendBroadcast(t *testing.T) {
+	positions := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
+		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
+	}
+	senders := []NodeID{0, 2, 6, 5, 3}
+	scenes := []struct {
+		name   string
+		lossy  bool
+		charge bool
+	}{
+		{"ideal", false, false},
+		{"lossy", true, false},
+		{"rx-charged", false, true},
+	}
+	for _, sc := range scenes {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(resolved bool) ([]NodeID, []error, [][2]NodeID, Stats, []float64) {
+				hook := &alternateDrops{}
+				cfg := defaultConfig()
+				if sc.lossy {
+					cfg.Faults = hook
+				}
+				if sc.charge {
+					cfg.ChargeControl = true
+					cfg.RxPerBit = 1e-3
+				}
+				_, m, nodes := setup(t, cfg, positions...)
+				nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits
+				nodes[3].battery = energy.NewBattery(0)   // dies keying up, if charged
+				loc := scanLocator(nodes)
+				m.UseLocator(loc)
+				var reached []NodeID
+				var errs []error
+				for _, from := range senders {
+					var err error
+					if resolved {
+						ids := loc.AppendInRange(nil, nodes[from].pos, cfg.Range)
+						reached, err = m.AppendBroadcastTo(reached, from, ids, 800, energy.CatControl)
+					} else {
+						reached, err = m.AppendBroadcast(reached, from, 800, energy.CatControl)
+					}
+					errs = append(errs, err)
+				}
+				spent := make([]float64, len(nodes))
+				for i, n := range nodes {
+					spent[i] = n.battery.TotalSpent()
+				}
+				return reached, errs, hook.calls, m.Stats(), spent
+			}
+			reached, errs, calls, stats, spent := run(true)
+			wantReached, wantErrs, wantCalls, wantStats, wantSpent := run(false)
+			if !slices.Equal(reached, wantReached) {
+				t.Errorf("reached %v, want %v", reached, wantReached)
+			}
+			for i := range errs {
+				if (errs[i] == nil) != (wantErrs[i] == nil) || errs[i] != nil && errs[i].Error() != wantErrs[i].Error() {
+					t.Errorf("sender %d: error %v, want %v", senders[i], errs[i], wantErrs[i])
+				}
+			}
+			if !slices.Equal(calls, wantCalls) {
+				t.Errorf("fault hook calls %v, want %v", calls, wantCalls)
+			}
+			if stats != wantStats {
+				t.Errorf("stats %+v, want %+v", stats, wantStats)
+			}
+			if !slices.Equal(spent, wantSpent) {
+				t.Errorf("battery draw %v, want %v", spent, wantSpent)
+			}
+			if stats.Delivered == 0 {
+				t.Fatal("nothing delivered: the scene exercises nothing")
+			}
+			if sc.lossy && stats.FaultDrops == 0 || sc.charge && stats.DeadDrops < 2 {
+				t.Errorf("scene lost less than it should (%+v)", stats)
+			}
+		})
+	}
+}

@@ -349,18 +349,29 @@ func (g *Grid) span(p geom.Point, r float64) (lo, hi cellKey, ok bool) {
 
 // AppendInRange implements Index.
 func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
+	dst, _ = g.AppendInRangeStamp(dst, p, r)
+	return dst
+}
+
+// AppendInRangeStamp is AppendInRange that also returns RegionStamp(p, r),
+// taken in the same pass over the visited cells: a caller that caches the
+// result and revalidates it by stamp pays one cell walk per refresh
+// instead of two.
+func (g *Grid) AppendInRangeStamp(dst []int, p geom.Point, r float64) ([]int, uint64) {
 	lo, hi, ok := g.span(p, r)
 	if !ok {
-		return dst
+		return dst, 0
 	}
 	r2 := r * r
 	start := len(dst)
+	var stamp uint64
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
 			c := g.lookup(cellKey{cx: cx, cy: cy})
 			if c == nil {
 				continue
 			}
+			stamp += c.epoch
 			for _, e := range c.bucket {
 				if e.pos.Dist2(p) <= r2 {
 					dst = append(dst, e.id)
@@ -369,7 +380,7 @@ func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
 		}
 	}
 	sort.Ints(dst[start:])
-	return dst
+	return dst, stamp
 }
 
 // RegionStamp returns a monotone fingerprint of the cells a range query

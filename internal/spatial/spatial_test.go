@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -357,7 +358,8 @@ func TestRegionStampInvalidation(t *testing.T) {
 
 // TestRegionStampAgreesWithQuery is the differential form: over a random
 // mutation sequence, whenever the stamp of a fixed query is unchanged the
-// query result is unchanged too (same ids, same order).
+// query result is unchanged too (same ids, same order), and the one-pass
+// AppendInRangeStamp always agrees with InRange and RegionStamp.
 func TestRegionStampAgreesWithQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	g, err := NewGrid(50)
@@ -378,6 +380,9 @@ func TestRegionStampAgreesWithQuery(t *testing.T) {
 		}
 		stamp := g.RegionStamp(q, r)
 		ids := g.InRange(q, r)
+		if both, bothStamp := g.AppendInRangeStamp(nil, q, r); bothStamp != stamp || !slices.Equal(both, ids) {
+			t.Fatalf("step %d: AppendInRangeStamp = %v, %d; want %v, %d", step, both, bothStamp, ids, stamp)
+		}
 		if stamp == lastStamp {
 			if len(ids) != len(lastIDs) {
 				t.Fatalf("step %d: stamp unchanged but result changed: %v -> %v", step, lastIDs, ids)
