@@ -164,10 +164,13 @@ strategies:
 
 # motion pins the ambient-mobility layer's contracts: the golden
 # stationary fingerprints (a disabled layer is bit-identical to the
-# pre-motion seed), the grid-vs-brute differential under active motion,
-# and a race-built CLI run with every model knob exercised.
+# pre-motion seed), the active-motion goldens (result and full trace
+# digests of drifting worlds under every model, battery charging,
+# stop-on-first-death and a lossy channel), the grid-vs-brute
+# differential under active motion, and a race-built CLI run with every
+# model knob exercised.
 motion:
-	$(GO) test -run 'TestGoldenStationaryMotion|TestGridBruteEquivalenceUnderMotion' ./internal/netsim/
+	$(GO) test -run 'TestGoldenStationaryMotion|TestGoldenActiveMotion|TestGridBruteEquivalenceUnderMotion' ./internal/netsim/
 	$(GO) run -race ./cmd/imobif-sim -nodes 40 -field 800 -flow-kb 64 \
 		-trials 2 -motion random-waypoint -motion-speed-lo 1 -motion-speed-hi 3 \
 		-motion-pause 10 -motion-seed 5 -seed 1

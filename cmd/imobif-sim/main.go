@@ -50,8 +50,8 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		trials      = flag.Int("trials", 1, "Monte-Carlo trials; >1 runs a batch over per-trial derived seeds and prints aggregates")
 		concurrency = flag.Int("concurrency", 0, "parallel workers for -trials batches (0 = all CPUs, 1 = serial; results are identical either way)")
-		parallel    = flag.Bool("parallel", false, "run each world on the conservative-lookahead parallel scheduler (results are byte-identical to serial)")
-		shards      = flag.Int("shards", 0, "worker goroutines per world for -parallel (0 = min(GOMAXPROCS, 8))")
+		parallel    = flag.Bool("parallel", false, "run each world on the conservative-lookahead windowed scheduler (byte-identical to serial; parallelizes nothing)")
+		shards      = flag.Int("shards", 0, "accepted for compatibility and ignored")
 		compare     = flag.Bool("compare", false, "also run the no-mobility baseline and print the energy ratio")
 		deaths      = flag.Bool("stop-on-death", false, "stop at the first node death (lifetime runs)")
 		energyLo    = flag.Float64("energy-lo", 5000, "min initial node energy, J")

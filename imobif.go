@@ -145,14 +145,13 @@ type Config struct {
 	// layer.
 	Motion *MotionConfig
 	// Parallel runs the simulation on the conservative-lookahead
-	// windowed scheduler, which precomputes independent per-node work
-	// (ambient motion steps) across Shards worker goroutines while
-	// firing events in exact serial order — results
-	// are byte-identical to the default serial scheduler. Off by
-	// default.
+	// windowed scheduler, which fires events in exact serial order —
+	// results are byte-identical to the default serial scheduler. It
+	// parallelizes nothing and is kept for compatibility; large HELLO
+	// rounds use the host's cores either way. Off by default.
 	Parallel bool
-	// Shards is the worker count for Parallel runs; zero picks
-	// min(GOMAXPROCS, 8). Ignored when Parallel is false.
+	// Shards is accepted for compatibility and ignored; negative values
+	// are rejected.
 	Shards int
 }
 

@@ -187,10 +187,6 @@ func (m *RPGM) Name() string { return ModelRPGM }
 // group returns node id's group index (round-robin assignment).
 func (m *RPGM) group(id int) int { return id % len(m.grp) }
 
-// StreamShard implements StreamSharder: members of one group share the
-// group's reference-point stream, so they must be stepped together.
-func (m *RPGM) StreamShard(id int) int { return m.group(id) }
-
 // Init implements Model: group reference points start uniform on the
 // inset field; members draw a fixed offset in a disk of 0.8·radius and a
 // personal speed.

@@ -184,20 +184,6 @@ type Model interface {
 	Step(id int, cur geom.Point, dt float64) geom.Point
 }
 
-// StreamSharder is an optional Model extension for parallel steppers:
-// StreamShard returns the key of the internal random stream that
-// Step(id, ...) advances. Steps of nodes with different keys touch
-// disjoint model state and may run on different goroutines; steps
-// sharing a key must stay on one goroutine, in the order the serial
-// scheduler would fire them. Models with fully per-node streams
-// (RandomWaypoint, GaussMarkov) need not implement it — every id is its
-// own stream; RPGM implements it because group members share their
-// group's reference-point stream.
-type StreamSharder interface {
-	// StreamShard returns id's stream key (non-negative).
-	StreamShard(id int) int
-}
-
 // New builds the configured model, or nil when the configuration is
 // disabled (nil, empty, or stationary). It assumes a validated config.
 func New(c *Config) Model {

@@ -124,7 +124,7 @@ type Config struct {
 	Faults *fault.Config
 	// Motion, when non-nil and naming a non-stationary model, enables the
 	// ambient-mobility layer: every node drifts under the configured
-	// motion.Model, stepped by per-node recurring events every
+	// motion.Model, stepped in ID order by one recurring tick every
 	// Motion.Interval simulated seconds. Nil (or stationary) arms no
 	// events and is guaranteed bit-identical to the pre-motion simulator
 	// (golden tests enforce it). Ambient movement is distinct from — and
@@ -153,17 +153,16 @@ type Config struct {
 	// one when the run ends. Zero disables sampling.
 	SampleInterval sim.Time
 	// Parallel, when true, runs the world on the conservative-lookahead
-	// windowed scheduler (sim.RunUntilWindowed): events inside one
-	// lookahead window are batched, the pure per-node work (ambient
-	// motion steps) is precomputed across Shards worker goroutines, and
-	// the events then fire in exact (time, seq) order — so results stay
-	// byte-identical to the serial scheduler (the cross-scheduler
-	// determinism battery pins it). Off by default. Large HELLO rounds
-	// use the host's cores under either scheduler (see hello_round.go).
+	// windowed scheduler (sim.RunUntilWindowed), which batches events by
+	// lookahead window and fires them in exact (time, seq) order on the
+	// calling goroutine — results stay byte-identical to the serial
+	// scheduler (the cross-scheduler determinism battery pins it). It
+	// parallelizes nothing (see parallel.go); large HELLO rounds use the
+	// host's cores under either scheduler (see hello_round.go). Off by
+	// default.
 	Parallel bool
-	// Shards is the worker-goroutine count for Parallel runs. Zero picks
-	// min(GOMAXPROCS, 8); negative is invalid. Ignored when Parallel is
-	// false.
+	// Shards is accepted for compatibility and ignored; negative is
+	// invalid.
 	Shards int
 	// NeighborStaleness, when positive, switches broadcast receiver sets
 	// to budget mode: a sender's cached receiver snapshot is reused until

@@ -73,9 +73,8 @@ func TestDeterminismFaultyCrossScheduler(t *testing.T) {
 	}
 }
 
-// motionScenario runs one ambient-motion world (the configuration that
-// actually exercises the parallel motion precompute) and returns its
-// Result for whole-struct comparison.
+// motionScenario runs one ambient-motion world and returns its Result
+// for whole-struct comparison.
 func motionScenario(t *testing.T, model string, parallel bool, shards int) Result {
 	t.Helper()
 	src := stats.NewSource(1234)
@@ -121,10 +120,9 @@ func motionScenario(t *testing.T, model string, parallel bool, shards int) Resul
 }
 
 // TestDeterminismMotionCrossScheduler drives every ambient-mobility model
-// through the windowed scheduler — the path where motion steps are
-// precomputed in parallel — and requires results identical to the serial
-// run, including the group-mobility model whose members share a random
-// stream.
+// through the windowed scheduler and requires results identical to the
+// serial run, including the group-mobility model whose members share a
+// random stream.
 func TestDeterminismMotionCrossScheduler(t *testing.T) {
 	models := []string{motion.ModelRandomWaypoint, motion.ModelGaussMarkov, motion.ModelRPGM}
 	for _, model := range models {
@@ -328,8 +326,8 @@ func TestDeterminismStaleNeighborBudget(t *testing.T) {
 }
 
 // TestDeterminismRaceParallelShards exists to run the windowed scheduler
-// and the sharded motion precompute under the race detector (the
-// Makefile race target selects tests by this name).
+// with drifting nodes under the race detector (the Makefile race target
+// selects tests by this name).
 func TestDeterminismRaceParallelShards(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		shards := shards

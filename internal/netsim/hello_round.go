@@ -69,7 +69,7 @@ const (
 	// splitWindow caps the senders resolved ahead of the accounting pass,
 	// bounding the workers' receiver buffers to a few hundred kilobytes.
 	splitWindow = 1 << 11
-	// maxRoundWorkers caps the round workers, as Config.Shards does.
+	// maxRoundWorkers caps the round workers.
 	maxRoundWorkers = 8
 )
 

@@ -25,6 +25,9 @@ const (
 	// rounds. ModeNoMobility never reads a table, so the Result digest
 	// alone would not see a wrong row.
 	goldenScaleTables = "30b5b6d2ad3e4b7b"
+	// goldenScaleFired counts the scheduler events of the run, captured
+	// once ambient motion became one tick event per interval.
+	goldenScaleFired = 206
 )
 
 // tableDigest hashes every node's neighbor-table Snapshot as of the
@@ -85,5 +88,11 @@ func TestScaleGoldenN5k(t *testing.T) {
 	}
 	if w.splitRounds == 0 {
 		t.Errorf("no HELLO round took the %d-worker split", w.round.workers)
+	}
+	// One motion event per node per tick would fire at least nodes ×
+	// ticks events; one tick event per interval keeps the whole run's
+	// count below the node count.
+	if fired := w.sched.Fired(); fired != goldenScaleFired || fired >= uint64(len(w.nodes)) {
+		t.Errorf("scheduler fired %d events, want %d (and fewer than the %d nodes)", fired, goldenScaleFired, len(w.nodes))
 	}
 }

@@ -11,7 +11,7 @@ import (
 // nodeStore is the world's struct-of-arrays node state: the fields every
 // hot loop touches — position, battery, alive flag, grid cell — live in
 // dense parallel slices indexed by NodeID, so scans (metrics samples,
-// snapshots, beacon rounds, the parallel shard workers) stream through
+// snapshots, beacon rounds, motion ticks) stream through
 // contiguous memory instead of chasing *node pointers. The per-node
 // protocol state that only matters when a node is actively involved in
 // traffic (HELLO table, flow table, AODV instance, retry maps) stays on
@@ -24,9 +24,9 @@ type nodeStore struct {
 	batteries []energy.Battery
 	dead      []bool
 	// cellX/cellY are the node's current grid cell coordinates under the
-	// radio-range cell size, maintained on every move. They shard the
-	// parallel motion precompute spatially and detect cell crossings for
-	// the stale-tolerant neighbor snapshots without querying the index.
+	// radio-range cell size, maintained on every move. They detect cell
+	// crossings for the stale-tolerant neighbor snapshots without querying
+	// the index.
 	cellX []int32
 	cellY []int32
 }

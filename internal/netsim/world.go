@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -87,11 +86,6 @@ type World struct {
 	// regression tests, like spatial.Grid's Rebuckets).
 	recv          []recvCache
 	recvRefreshes uint64
-	// shards is the worker count for parallel runs (1 when Parallel is
-	// off); pre is the motion precompute table of the lookahead window
-	// (see parallel.go).
-	shards int
-	pre    []premove
 	// beacons buffers the batched HELLO round, round sizes the round's
 	// data-parallel split, and splitRounds counts the rounds that took
 	// it (see hello_round.go). The other two are seams for the
@@ -133,14 +127,14 @@ type World struct {
 
 	// motionModel drives ambient (environment) mobility when
 	// Config.Motion enables it; nil means the layer is absent — no
-	// per-node movement events are ever armed, keeping the default run
-	// bit-identical to the pre-motion simulator.
+	// motion tick is ever armed, keeping the default run bit-identical to
+	// the pre-motion simulator.
 	motionModel motion.Model
 
 	// emitFn, markDeadFn, markAliveFn, and motionFn are the world's
 	// long-lived scheduler callbacks (sim.Func): recurring events schedule
 	// them with a per-event argument instead of allocating a closure per
-	// event.
+	// event. motionFn is the motion tick and takes no argument.
 	emitFn      sim.Func
 	markDeadFn  sim.Func
 	markAliveFn sim.Func
@@ -258,19 +252,10 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
-	w.shards = 1
-	if cfg.Parallel {
-		if w.shards = cfg.Shards; w.shards <= 0 {
-			w.shards = runtime.GOMAXPROCS(0)
-			if w.shards > 8 {
-				w.shards = 8
-			}
-		}
-	}
 	w.emitFn = func(arg any) { w.emit(arg.(*flowRuntime)) }
 	w.markDeadFn = func(arg any) { w.markDead(arg.(*node)) }
 	w.markAliveFn = func(arg any) { w.markAlive(arg.(*node)) }
-	w.motionFn = func(arg any) { w.ambientStep((*node)(arg.(motionArg))) }
+	w.motionFn = func(any) { w.motionTick() }
 	if m := motion.New(cfg.Motion); m != nil {
 		m.Init(positions)
 		w.motionModel = m
@@ -542,20 +527,15 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	w.started = true
 	initial := w.snapshot()
 
-	// Arm ambient mobility: one recurring movement event per node, first
-	// firing one interval in (positions at t=0 are the placement). With
-	// the layer disabled no events exist at all. Motion events are armed
-	// before the beaconer on purpose: at a shared instant they then fire
-	// before the HELLO round (beacons advertise the already-moved
-	// positions), and — the point of the ordering — they form the leading
-	// prefix of each lookahead window, which is what the parallel
-	// scheduler precomputes (see prepareWindow).
+	// Arm ambient mobility: one recurring motion tick that steps every
+	// node, first firing one interval in (positions at t=0 are the
+	// placement). With the layer disabled no event exists at all. The tick
+	// is armed before the beaconer on purpose: at a shared instant it then
+	// fires before the HELLO round, so beacons advertise the
+	// already-moved positions.
 	if w.motionModel != nil {
-		interval := sim.Time(w.cfg.Motion.StepInterval())
-		for _, n := range w.nodes {
-			if _, err := w.sched.AtArg(interval, w.motionFn, motionArg(n)); err != nil {
-				return Result{}, err
-			}
+		if _, err := w.sched.AtArg(sim.Time(w.cfg.Motion.StepInterval()), w.motionFn, nil); err != nil {
+			return Result{}, err
 		}
 	}
 
@@ -610,7 +590,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	canceled := false
 	var runErr error
 	if w.cfg.Parallel {
-		runErr = w.sched.RunUntilWindowed(ctx, w.cfg.Horizon, w.lookahead(), w.prepareWindow)
+		runErr = w.sched.RunUntilWindowed(ctx, w.cfg.Horizon, w.lookahead(), nil)
 	} else {
 		runErr = w.sched.RunUntilContext(ctx, w.cfg.Horizon)
 	}
@@ -856,24 +836,35 @@ func (w *World) markAlive(n *node) {
 	n.lastAdvert = *b
 }
 
-// ambientStep advances one node under the ambient mobility model and
-// reschedules the node's next movement event. Dead nodes skip the step
-// (their model stream freezes; per-node streams mean nobody else's
-// trajectory shifts) but keep their event armed so a recovered node
-// resumes drifting. Movement charges the battery only when
+// motionTick is one ambient-motion step of the whole world. It re-arms
+// itself first, then steps every live node in ID order — the order in
+// which one recurring event per node would fire, since no step schedules
+// an event — and returns as soon as a step stops the scheduler (a
+// depletion under Motion.ChargeBattery and StopOnFirstDeath). Dead
+// nodes skip the step: their model stream freezes, and per-node streams
+// mean nobody else's trajectory shifts, so a recovered node resumes
+// drifting where it left off.
+func (w *World) motionTick() {
+	interval := w.cfg.Motion.StepInterval()
+	_, _ = w.sched.AfterArg(sim.Time(interval), w.motionFn, nil)
+	for id, dead := range w.store.dead {
+		if dead {
+			continue
+		}
+		w.ambientStep(w.nodes[id], interval)
+		if w.sched.Stopped() {
+			return
+		}
+	}
+}
+
+// ambientStep advances one live node by dt seconds under the ambient
+// mobility model. Movement charges the battery only when
 // Motion.ChargeBattery is set, using the same locomotion model and energy
 // category as iMobif relay movement.
-func (w *World) ambientStep(n *node) {
-	interval := sim.Time(w.cfg.Motion.StepInterval())
-	_, _ = w.sched.AfterArg(interval, w.motionFn, motionArg(n))
-	if n.dead() {
-		return
-	}
+func (w *World) ambientStep(n *node, dt float64) {
 	cur := n.pos()
-	next, ok := w.takePremove(n.id, cur)
-	if !ok {
-		next = w.motionModel.Step(n.id, cur, float64(interval))
-	}
+	next := w.motionModel.Step(n.id, cur, dt)
 	d := cur.Dist(next)
 	if d < geom.Epsilon {
 		return
@@ -1043,14 +1034,19 @@ func (w *World) planPath(g *topo.Graph, src, dst NodeID, toOld []NodeID) ([]Node
 	return ea.PlanRouteEnergy(g, energies, src, dst)
 }
 
-// trace dispatches one event to the attached consumers. With no Tracer
-// and no Sink it is a single predicted branch, keeping the zero-observer
-// hot path at pre-observability cost (BenchmarkObserverOverhead pins
-// this).
+// trace dispatches one event to the attached consumers. It inlines to a
+// single predicted branch around the out-of-line record, so with no
+// Tracer and no Sink a call site never copies the event into a call,
+// keeping the zero-observer hot path at pre-observability cost
+// (BenchmarkObserverOverhead pins this).
 func (w *World) trace(e trace.Event) {
-	if !w.observing {
-		return
+	if w.observing {
+		w.record(e)
 	}
+}
+
+// record is trace's out-of-line half.
+func (w *World) record(e trace.Event) {
 	w.cfg.Tracer.Record(e)
 	if w.cfg.Sink != nil {
 		w.cfg.Sink.Record(e)

@@ -285,11 +285,12 @@ func (m *Medium) AppendBroadcast(dst []NodeID, from NodeID, bits float64, cat en
 
 // AppendBroadcastTo is AppendBroadcast with the receivers resolved by the
 // caller: ids must be the set the installed locator would report for
-// from's broadcast at this moment (ascending, the sender may be listed).
-// Everything after the lookup is AppendBroadcast's — the sender charge,
-// the fault hook consulted per receiver in ids order, the receive charge
-// and every counter — so receiver sets can be resolved ahead of time,
-// concurrently, and accounted for here serially in send order.
+// from's broadcast at this moment (ascending, the sender may be listed),
+// so every listed ID is a registered endpoint, as the Locator contract
+// requires. Everything after the lookup is AppendBroadcast's — the sender
+// charge, the fault hook consulted per receiver in ids order, the receive
+// charge and every counter — so receiver sets can be resolved ahead of
+// time, concurrently, and accounted for here serially in send order.
 func (m *Medium) AppendBroadcastTo(dst []NodeID, from NodeID, ids []NodeID, bits float64, cat energy.Category) ([]NodeID, error) {
 	sender, err := m.keyUp(from, bits, cat)
 	if err != nil {
@@ -356,9 +357,22 @@ func (m *Medium) keyUp(from NodeID, bits float64, cat energy.Category) (Endpoint
 
 // reachAll walks a located receiver list — ascending IDs, the sender
 // skipped, unregistered IDs ignored — through reach, and returns how many
-// receivers survived the fault hook.
+// receivers survived the fault hook. A free broadcast appended to *out
+// cannot lose, charge or kill a receiver, so it only copies the list and
+// counts it without loading an endpoint, relying on the Locator contract
+// that located IDs are registered.
 func (m *Medium) reachAll(from NodeID, origin geom.Point, ids []NodeID, bits float64, cat energy.Category, msg any, out *[]NodeID) int {
 	n := 0
+	if out != nil && m.free(cat) {
+		for _, id := range ids {
+			if id != from {
+				*out = append(*out, id)
+				n++
+			}
+		}
+		m.stats.Delivered += uint64(n)
+		return n
+	}
 	for _, id := range ids {
 		if id == from {
 			continue
@@ -392,8 +406,22 @@ func (m *Medium) reach(from, id NodeID, ep Endpoint, origin geom.Point, bits flo
 	return true
 }
 
+// uncharged reports whether traffic of category cat draws no energy, at
+// the sender or at any receiver: control traffic on a medium that does
+// not charge it.
+func (m *Medium) uncharged(cat energy.Category) bool {
+	return cat == energy.CatControl && !m.cfg.ChargeControl
+}
+
+// free reports whether a broadcast of category cat is free: it draws no
+// energy and the medium has no fault hook, so every located receiver
+// takes it.
+func (m *Medium) free(cat energy.Category) bool {
+	return m.cfg.Faults == nil && m.uncharged(cat)
+}
+
 func (m *Medium) charge(sender Endpoint, joules float64, cat energy.Category) error {
-	if cat == energy.CatControl && !m.cfg.ChargeControl {
+	if m.uncharged(cat) {
 		return nil
 	}
 	if err := sender.Battery().Draw(joules, cat); err != nil {
@@ -459,10 +487,7 @@ func (m *Medium) handoff(from NodeID, to Endpoint, bits float64, cat energy.Cate
 // chargeRx draws receiver electronics energy; it reports whether the
 // receiver survived to take the message.
 func (m *Medium) chargeRx(to Endpoint, bits float64, cat energy.Category) bool {
-	if m.cfg.RxPerBit <= 0 {
-		return true
-	}
-	if cat == energy.CatControl && !m.cfg.ChargeControl {
+	if m.cfg.RxPerBit <= 0 || m.uncharged(cat) {
 		return true
 	}
 	return to.Battery().Draw(m.cfg.RxPerBit*bits, energy.CatRx) == nil

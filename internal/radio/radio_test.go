@@ -549,3 +549,119 @@ func TestAppendBroadcastToMatchesAppendBroadcast(t *testing.T) {
 		})
 	}
 }
+
+// recordingNode is an Endpoint that logs each delivery, in arrival order,
+// as a (sender, receiver) pair into a log its scene shares.
+type recordingNode struct {
+	testNode
+	id  NodeID
+	log *[][2]NodeID
+}
+
+func (n *recordingNode) Receive(from int, _ any) { *n.log = append(*n.log, [2]NodeID{from, n.id}) }
+
+// TestAppendBroadcastFreePathMatchesBroadcast checks AppendBroadcast and
+// AppendBroadcastTo against the per-message Broadcast, the reference, on
+// broadcasts that are free (no fault hook, no energy drawn) and on ones
+// that are not: each must reach the same receivers in the same order and
+// leave the same counters and batteries. AppendBroadcastTo gets its
+// receiver lists with the sender listed and without it; the isolated
+// sender 5's list is empty without it.
+func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
+	positions := []geom.Point{
+		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
+		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
+	}
+	senders := []NodeID{0, 2, 5, 6, 3}
+	scenes := []struct {
+		name  string
+		cfg   func(*Config)
+		cat   energy.Category
+		free  bool
+		drops bool // the scene must lose a delivery
+	}{
+		{"control", func(*Config) {}, energy.CatControl, true, false},
+		{"control-rx-uncharged", func(c *Config) { c.RxPerBit = 1e-3 }, energy.CatControl, true, false},
+		{"control-charged", func(c *Config) { c.ChargeControl, c.RxPerBit = true, 1e-3 }, energy.CatControl, false, true},
+		{"data", func(c *Config) { c.RxPerBit = 1e-3 }, energy.CatTx, false, true},
+		{"fault-hook", func(c *Config) { c.Faults = &alternateDrops{} }, energy.CatControl, false, true},
+	}
+	const (
+		reference = iota
+		located
+		senderListed
+		senderUnlisted
+	)
+	for _, sc := range scenes {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(path int) ([][2]NodeID, Stats, []energy.Battery) {
+				cfg := defaultConfig()
+				sc.cfg(&cfg)
+				m, err := NewMedium(sim.NewScheduler(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.free(sc.cat) != sc.free {
+					t.Fatalf("free(%v) = %v, want %v", sc.cat, !sc.free, sc.free)
+				}
+				var log [][2]NodeID
+				nodes := make([]*recordingNode, len(positions))
+				loc := make(scanLocator, len(positions))
+				for i, p := range positions {
+					nodes[i] = &recordingNode{testNode: testNode{pos: p, battery: energy.NewBattery(100)}, id: i, log: &log}
+					loc[i] = &nodes[i].testNode
+					if err := m.Register(i, nodes[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits, if charged
+				m.UseLocator(loc)
+				for _, from := range senders {
+					var reached []NodeID
+					switch path {
+					case reference:
+						_, err = m.Broadcast(from, 800, sc.cat, nil)
+					case located:
+						reached, err = m.AppendBroadcast(nil, from, 800, sc.cat)
+					default:
+						ids := loc.AppendInRange(nil, positions[from], cfg.Range)
+						if path == senderUnlisted {
+							ids = slices.DeleteFunc(ids, func(id NodeID) bool { return id == from })
+						}
+						reached, err = m.AppendBroadcastTo(nil, from, ids, 800, sc.cat)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, id := range reached {
+						log = append(log, [2]NodeID{from, id})
+					}
+				}
+				batteries := make([]energy.Battery, len(nodes))
+				for i, n := range nodes {
+					batteries[i] = *n.battery
+				}
+				return log, m.Stats(), batteries
+			}
+			want, wantStats, wantBatteries := run(reference)
+			for _, path := range []int{located, senderListed, senderUnlisted} {
+				got, stats, batteries := run(path)
+				if !slices.Equal(got, want) {
+					t.Errorf("path %d: reached %v, Broadcast delivered %v", path, got, want)
+				}
+				if stats != wantStats {
+					t.Errorf("path %d: stats %+v, want %+v", path, stats, wantStats)
+				}
+				if !slices.Equal(batteries, wantBatteries) {
+					t.Errorf("path %d: batteries %+v, want %+v", path, batteries, wantBatteries)
+				}
+			}
+			if wantStats.Delivered == 0 {
+				t.Fatal("nothing delivered: the scene exercises nothing")
+			}
+			if lost := wantStats.FaultDrops + wantStats.DeadDrops; (lost > 0) != sc.drops {
+				t.Errorf("scene lost %d deliveries, want loss %v", lost, sc.drops)
+			}
+		})
+	}
+}

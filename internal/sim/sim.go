@@ -214,6 +214,10 @@ func (s *Scheduler) AfterArg(delay Time, fn Func, arg any) (Handle, error) {
 // Stop halts the run loop after the currently executing event returns.
 func (s *Scheduler) Stop() { s.stopped = true }
 
+// Stopped reports whether Stop was called since the current run loop
+// began, so a long event can end its own work early.
+func (s *Scheduler) Stopped() bool { return s.stopped }
+
 // release returns a fired or canceled slot to the free list, dropping its
 // callback references so the GC is not kept from collecting them.
 func (s *Scheduler) release(slot int32) {

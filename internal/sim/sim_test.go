@@ -157,8 +157,14 @@ func TestStop(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if _, err := s.At(Time(i), func() {
 			count++
+			if s.Stopped() {
+				t.Errorf("event %d: Stopped before Stop", count)
+			}
 			if count == 3 {
 				s.Stop()
+				if !s.Stopped() {
+					t.Error("Stopped false right after Stop")
+				}
 			}
 		}); err != nil {
 			t.Fatal(err)

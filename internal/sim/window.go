@@ -5,9 +5,8 @@
 // minimum latency any event can schedule another event at — are collected
 // into a window and handed to a Prepare hook before any of them fires.
 // The hook may precompute the pure part of the events' work on multiple
-// goroutines (netsim shards ambient-motion steps spatially); the
-// scheduler then fires the window strictly in (time, seq) order on the
-// calling goroutine.
+// goroutines (netsim passes none); the scheduler then fires the window
+// strictly in (time, seq) order on the calling goroutine.
 //
 // # Determinism argument
 //
@@ -18,7 +17,7 @@
 // that is too large therefore never reorders execution — it only means
 // some precomputed work was based on state that a preceding event could
 // have changed, and the Prepare contract (below) is what makes that
-// impossible for the work netsim actually precomputes. An L that is too
+// impossible for the work a hook precomputes. An L that is too
 // small just shrinks the batches. In both cases the observable sequence
 // of (time, seq, callback) firings is exactly the serial one, which is
 // why the golden fingerprints hold under any shard count.
@@ -29,8 +28,8 @@
 // after the window's end; only the window's own entries (fired strictly
 // in order) and events they schedule can run before a given entry. Hooks
 // therefore restrict themselves to a leading prefix of entries whose
-// callbacks touch disjoint, self-owned state (netsim: one motion step per
-// node, each reading only that node's position and random stream).
+// callbacks touch disjoint, self-owned state (for example one motion step
+// per node, each reading only that node's position and random stream).
 package sim
 
 import (
