@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
 	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
+	$(GO) test -fuzz=FuzzSeenSet -fuzztime=5s ./internal/netsim/
 
 # cover enforces per-package coverage floors on the packages whose
 # correctness burden is a test suite rather than a golden run: the seed
@@ -72,8 +73,9 @@ bench:
 # scheduler jitter; benchgate compares best-vs-best per metric. Only the
 # disabled MotionOverhead rungs are gated — they pin the
 # zero-cost-when-off contract; the active rungs run to the horizon and
-# are too slow (and too scenario-dependent) for a ratchet.
-GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k
+# are too slow (and too scenario-dependent) for a ratchet. The retry
+# FaultOverhead rungs pin the allocation-free retry/ack transport.
+GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkFaultOverhead/(retry|lossy-retry)$$
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -181,7 +183,7 @@ func TestStrayAckCounted(t *testing.T) {
 	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 2, LengthBits: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	w.nodes[0].Receive(1, ackPacket{flow: 1, seq: 99})
+	w.nodes[0].Receive(1, &ackPacket{flow: 1, seq: 99})
 	if w.transport.DupAcks != 1 {
 		t.Errorf("dup acks = %d, want 1", w.transport.DupAcks)
 	}
@@ -384,5 +386,118 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 	}
 	if a.Duration != b.Duration {
 		t.Errorf("durations differ: %v vs %v", a.Duration, b.Duration)
+	}
+}
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(trace.Event)
+
+func (f sinkFunc) Record(e trace.Event) { f(e) }
+
+// TestCrashedSenderStopsRetransmitting crashes a relay while it holds an
+// unacked packet: when the retry timer fires, the dead relay must drop the
+// packet once instead of retransmitting it, so its tx ledger stops growing
+// at the crash and it declares no link break.
+func TestCrashedSenderStopsRetransmitting(t *testing.T) {
+	const limit = 2
+	// Per-unicast evaluations of packet 1 on the chain 0-1-2-3: data 0→1,
+	// ack 1→0, data 1→2, ack 2→1 (lost), data 2→3, ack 3→2. Relay 1 keeps
+	// packet 1 pending although it was delivered.
+	cfg := faultChainCfg(&fault.Config{
+		Script: []bool{false, false, false, true}, RetryLimit: limit, RetryTimeout: 0.5,
+		Crashes: []fault.Crash{{Node: 1, At: 0.25}},
+	})
+	var w *World
+	txAtCrash, breaks := -1.0, 0
+	cfg.Sink = sinkFunc(func(e trace.Event) {
+		switch {
+		case e.Kind == trace.KindNodeDied && e.Node == 1:
+			txAtCrash = w.nodes[1].battery().Spent(energy.CatTx)
+		case e.Kind == trace.KindLinkBreak:
+			breaks++
+			if e.Node == 1 {
+				t.Errorf("crashed relay 1 declared a link break at t=%v", e.At)
+			}
+		}
+	})
+	w = chainWorld(t, cfg, 4, 0, 1e6)
+	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 8192 * 2, Path: []NodeID{0, 1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txAtCrash < 0 {
+		t.Fatal("relay 1 never crashed")
+	}
+	if tx := w.nodes[1].battery().Spent(energy.CatTx); tx != txAtCrash {
+		t.Errorf("crashed relay 1 spent %v J tx after the crash", tx-txAtCrash)
+	}
+	// Packet 1 is dropped once by the dead relay; packet 2 once by the
+	// source, whose retries toward the dead relay exhaust.
+	if got := w.flows[0].drops; got != 2 {
+		t.Errorf("drops = %d, want 2 (one per packet)", got)
+	}
+	if breaks != 1 || res.Transport.LinkBreaks != 1 {
+		t.Errorf("link breaks = %d traced / %d counted, want 1 (the source's)", breaks, res.Transport.LinkBreaks)
+	}
+	if res.Transport.Retransmits != limit {
+		t.Errorf("retransmits = %d, want %d (the source's only)", res.Transport.Retransmits, limit)
+	}
+}
+
+// TestRetryTransportMemoryBounded runs long lossless retry flows over a
+// 3-hop chain: relay memory must not grow with the flow's length. Every
+// duplicate-suppression set stays one window with no holes, every pending
+// entry is back on the free list after the run, and a flow ten times
+// longer allocates no more.
+func TestRetryTransportMemoryBounded(t *testing.T) {
+	run := func(packets int) (*World, uint64) {
+		cfg := faultChainCfg(&fault.Config{RetryLimit: 3, RetryTimeout: 0.25})
+		w := chainWorld(t, cfg, 4, 0, 1e9)
+		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 8192 * float64(packets), Path: []NodeID{0, 1, 2, 3}}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := w.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := res.Outcome(); !out.Completed || out.PathLen != 4 {
+			t.Fatalf("%d-packet flow: %+v, want completed over 4 nodes", packets, out)
+		}
+		if res.Transport.Acks != uint64(3*packets) {
+			t.Fatalf("acks = %d, want %d", res.Transport.Acks, 3*packets)
+		}
+		return w, after.Mallocs - before.Mallocs
+	}
+	const short, long = 5000, 50000
+	_, shortAllocs := run(short)
+	w, longAllocs := run(long)
+	for _, n := range w.nodes {
+		x := n.xport
+		if len(x.pending) != 0 {
+			t.Errorf("node %d holds %d pending entries after the run", n.id, len(x.pending))
+		}
+		if n.id == 0 {
+			continue // the source never receives its own data
+		}
+		if len(x.seen) != 1 {
+			t.Fatalf("node %d has %d dedup sets, want 1", n.id, len(x.seen))
+		}
+		if s := x.seen[0]; s.top != long || len(s.holes) != 0 || cap(s.holes) != 0 {
+			t.Errorf("node %d dedup set: top %d, %d holes (cap %d); want top %d and none",
+				n.id, s.top, len(s.holes), cap(s.holes), long)
+		}
+	}
+	if got := len(w.pendingTxs.free); got == 0 || got > 3 {
+		t.Errorf("free list holds %d entries, want 1..3 (at most one per hop)", got)
+	}
+	if longAllocs > shortAllocs+16 {
+		t.Errorf("Run allocated %d times for %d packets vs %d for %d: allocations grow with flow length",
+			longAllocs, long, shortAllocs, short)
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // node carries one node's protocol state: HELLO neighbor table, flow
-// table, last advertised beacon, AODV instance, and retry-transport maps.
+// table, last advertised beacon, AODV instance, and retry-transport state.
 // The dense per-node state — position, battery, alive flag, grid cell —
 // lives in the world's struct-of-arrays nodeStore (see store.go) and is
 // reached through the pos/battery/dead accessors.
@@ -30,14 +30,45 @@ type node struct {
 	// aodv is the on-demand routing instance, created when the world
 	// uses AODV discovery.
 	aodv *routing.Instance
-	// pending tracks unacked data transmissions and seen suppresses
-	// duplicate data receptions; both are only populated when the retry
-	// transport is enabled (Config.Faults.RetryLimit > 0).
-	pending map[pendingKey]*pendingTx
-	seen    map[pendingKey]bool
+	// xport is the retry-transport state, allocated when the node first
+	// sends or receives data under the retry transport
+	// (Config.Faults.RetryLimit > 0); nil otherwise.
+	xport *transportState
 }
 
-// ackPacket is the hop-level acknowledgement of one data packet.
+// transportState is one node's retry-transport state: its unacked data
+// transmissions, found by linear scan (a node paced at one packet per
+// interval holds one or two), and one duplicate-suppression set per flow
+// it has received data on.
+type transportState struct {
+	pending []*pendingTx
+	seen    []seenSet
+}
+
+// index returns the index of key's entry in x.pending, or -1.
+func (x *transportState) index(key pendingKey) int {
+	for i, pt := range x.pending {
+		if pt.key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// seenFor returns the duplicate-suppression set for a flow, creating it
+// on the flow's first data packet.
+func (x *transportState) seenFor(flow core.FlowID) *seenSet {
+	for i := range x.seen {
+		if x.seen[i].flow == flow {
+			return &x.seen[i]
+		}
+	}
+	x.seen = append(x.seen, seenSet{flow: flow})
+	return &x.seen[len(x.seen)-1]
+}
+
+// ackPacket is the hop-level acknowledgement of one data packet. Acks
+// travel by pointer through the world's free list, like data packets.
 type ackPacket struct {
 	flow core.FlowID
 	seq  uint64
@@ -51,8 +82,10 @@ type pendingKey struct {
 
 // pendingTx is one unacked data transmission: the header to retransmit,
 // the retry budget spent so far, and the armed timeout. It carries its
-// owner and key so the shared retryFn callback can be scheduled with the
-// entry itself as argument — no per-timer closure.
+// owner so the shared retryFn callback can be scheduled with the entry
+// itself as argument — no per-timer closure. Entries come from the
+// world's free list (World.pendingTxs) and go back to it once they leave
+// their owner's pending list with no timer armed.
 type pendingTx struct {
 	hdr      core.Header
 	fr       *flowRuntime
@@ -67,7 +100,7 @@ type pendingTx struct {
 // armed timer schedules this one function with its pendingTx as argument.
 func retryFn(arg any) {
 	pt := arg.(*pendingTx)
-	pt.owner.onRetryTimeout(pt.key)
+	pt.owner.onRetryTimeout(pt)
 }
 
 var _ radio.Endpoint = (*node)(nil)
@@ -107,10 +140,10 @@ func (n *node) shouldBeacon() bool {
 // use World.queueBeacon (see hello_round.go).
 func (n *node) sendBeacon() {
 	w := n.world
-	b := w.getBeacon()
+	b := w.beaconBoxes.get()
 	*b = n.beacon()
 	_, err := w.medium.Broadcast(n.id, w.cfg.HelloBits, energy.CatControl, b)
-	w.putBeacon(b)
+	w.beaconBoxes.put(b)
 	if err != nil {
 		w.noteDepletion(n, err)
 		return
@@ -138,8 +171,8 @@ func (n *node) Receive(from NodeID, msg any) {
 		n.neighbors.Update(*m, n.world.sched.Now())
 	case *dataPacket:
 		n.onData(from, m)
-	case ackPacket:
-		n.onAck(m)
+	case *ackPacket:
+		n.onAck(pendingKey{flow: m.flow, seq: m.seq})
 	case core.Notification:
 		n.onNotification(from, m)
 	}
@@ -151,37 +184,76 @@ func (n *node) Receive(from NodeID, msg any) {
 // synchronously, so by the time Unicast returns the packet may already be
 // acked.
 func (n *node) sendReliable(fr *flowRuntime, hdr core.Header) {
-	if n.pending == nil {
-		n.pending = make(map[pendingKey]*pendingTx)
-	}
+	x := n.transport()
 	key := pendingKey{flow: hdr.Flow, seq: hdr.Seq}
-	pt := &pendingTx{hdr: hdr, fr: fr, owner: n, key: key}
-	n.pending[key] = pt
-	n.transmitPending(key, pt)
+	if i := x.index(key); i >= 0 {
+		// The key is already pending here (a repaired route led the packet
+		// back through this node): the new entry supersedes the old one.
+		n.release(i)
+	}
+	pt := n.world.pendingTxs.get()
+	*pt = pendingTx{hdr: hdr, fr: fr, owner: n, key: key}
+	x.pending = append(x.pending, pt)
+	n.transmitPending(pt)
+}
+
+// transport returns the node's retry-transport state, allocating it on
+// first use.
+func (n *node) transport() *transportState {
+	if n.xport == nil {
+		n.xport = new(transportState)
+	}
+	return n.xport
+}
+
+// release removes the entry at index i from the node's pending list,
+// cancels its timer, and returns it to the world's free list. The list's
+// order is not kept: lookups are by key.
+func (n *node) release(i int) {
+	x := n.xport
+	pt := x.pending[i]
+	last := len(x.pending) - 1
+	x.pending[i] = x.pending[last]
+	x.pending[last] = nil
+	x.pending = x.pending[:last]
+	if pt.armed {
+		pt.timer.Cancel()
+	}
+	*pt = pendingTx{}
+	n.world.pendingTxs.put(pt)
 }
 
 // transmitPending puts one pending packet on the air toward the flow
 // table's current next hop and, if it is still unacked afterwards, arms
 // the retry timeout.
-func (n *node) transmitPending(key pendingKey, pt *pendingTx) {
+//
+// On the synchronous radio the ack can release pt inside the Unicast, and
+// a relay downstream can take it from the free list before Unicast
+// returns, so after the send only the copies taken before it (key, fr)
+// are read until pt is found still pending.
+func (n *node) transmitPending(pt *pendingTx) {
 	w := n.world
+	key, fr := pt.key, pt.fr
 	entry, err := n.flows.Get(key.flow)
 	if err != nil || entry.Next < 0 {
-		delete(n.pending, key)
-		w.drop(pt.fr)
+		n.release(n.xport.index(key))
+		w.drop(fr)
 		return
 	}
-	pkt := w.getPacket()
+	pkt := w.packets.get()
 	pkt.hdr = pt.hdr
-	err = w.medium.Unicast(n.id, entry.Next, pt.hdr.PayloadBits, energy.CatTx, pkt)
-	w.putPacket(pkt)
+	err = w.medium.Unicast(n.id, entry.Next, pkt.hdr.PayloadBits, energy.CatTx, pkt)
+	w.packets.put(pkt)
+	i := n.xport.index(key)
 	if err != nil {
-		delete(n.pending, key)
-		w.drop(pt.fr)
+		if i >= 0 {
+			n.release(i)
+		}
+		w.drop(fr)
 		w.noteDepletion(n, err)
 		return
 	}
-	if _, still := n.pending[key]; !still {
+	if i < 0 || n.xport.pending[i] != pt {
 		return // acked synchronously during the Unicast
 	}
 	h, err := w.sched.AfterArg(sim.Time(w.cfg.Faults.RetryTimeout), retryFn, pt)
@@ -193,22 +265,26 @@ func (n *node) transmitPending(key pendingKey, pt *pendingTx) {
 
 // onRetryTimeout fires when a transmitted packet's ack did not arrive in
 // time: retransmit while budget remains, then declare the link broken and
-// either repair the route or drop the packet.
-func (n *node) onRetryTimeout(key pendingKey) {
+// either repair the route or drop the packet. A node that crashed while
+// holding the packet cannot transmit: it drops the packet at once.
+func (n *node) onRetryTimeout(pt *pendingTx) {
 	w := n.world
-	pt, ok := n.pending[key]
-	if !ok {
+	pt.armed = false
+	key, fr := pt.key, pt.fr
+	if n.dead() {
+		n.release(n.xport.index(key))
+		w.drop(fr)
 		return
 	}
-	pt.armed = false
 	if pt.attempts < w.cfg.Faults.RetryLimit {
 		pt.attempts++
 		w.transport.Retransmits++
-		n.transmitPending(key, pt)
+		n.transmitPending(pt)
 		return
 	}
 	// Retry budget exhausted: the next hop is unreachable from here.
-	delete(n.pending, key)
+	hdr := pt.hdr
+	n.release(n.xport.index(key))
 	w.transport.LinkBreaks++
 	next := -1
 	if entry, err := n.flows.Get(key.flow); err == nil {
@@ -216,30 +292,25 @@ func (n *node) onRetryTimeout(key pendingKey) {
 	}
 	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindLinkBreak, Node: n.id,
 		Flow: uint64(key.flow), Seq: key.seq, Peer: next})
-	if w.cfg.Faults.RouteRepair && w.repairFlow(pt.fr, n.id) {
+	if w.cfg.Faults.RouteRepair && w.repairFlow(fr, n.id) {
 		w.transport.Retransmits++
-		n.sendReliable(pt.fr, pt.hdr)
+		n.sendReliable(fr, hdr)
 		return
 	}
-	w.drop(pt.fr)
+	w.drop(fr)
 }
 
 // onAck resolves a pending transmission. Acks that match nothing (the
 // packet was already acked, or a retransmission raced its own late ack)
 // are counted and ignored.
-func (n *node) onAck(ack ackPacket) {
+func (n *node) onAck(key pendingKey) {
 	w := n.world
-	key := pendingKey{flow: ack.flow, seq: ack.seq}
-	pt, ok := n.pending[key]
-	if !ok {
+	i := n.transport().index(key)
+	if i < 0 {
 		w.transport.DupAcks++
 		return
 	}
-	delete(n.pending, key)
-	if pt.armed {
-		pt.timer.Cancel()
-		pt.armed = false
-	}
+	n.release(i)
 	w.transport.Acks++
 }
 
@@ -258,22 +329,20 @@ func (n *node) onData(from NodeID, pkt *dataPacket) {
 	if w.retryEnabled() {
 		// Ack first — even duplicates, whose previous ack may have been
 		// lost — then suppress re-processing of data already seen here.
-		ack := ackPacket{flow: hdr.Flow, seq: hdr.Seq}
-		if err := w.medium.Unicast(n.id, from, w.cfg.Faults.EffectiveAckBits(), energy.CatControl, ack); err != nil {
+		ack := w.acks.get()
+		*ack = ackPacket{flow: hdr.Flow, seq: hdr.Seq}
+		err := w.medium.Unicast(n.id, from, w.cfg.Faults.EffectiveAckBits(), energy.CatControl, ack)
+		w.acks.put(ack)
+		if err != nil {
 			w.noteDepletion(n, err)
 			if n.dead() {
 				return
 			}
 		}
-		key := pendingKey{flow: hdr.Flow, seq: hdr.Seq}
-		if n.seen[key] {
+		if !n.transport().seenFor(hdr.Flow).add(hdr.Seq) {
 			w.transport.DupData++
 			return
 		}
-		if n.seen == nil {
-			n.seen = make(map[pendingKey]bool)
-		}
-		n.seen[key] = true
 	}
 	entry, err := n.flows.Get(hdr.Flow)
 	if err != nil {
@@ -309,10 +378,10 @@ func (n *node) onData(from NodeID, pkt *dataPacket) {
 			return
 		}
 	} else {
-		fwd := w.getPacket()
+		fwd := w.packets.get()
 		fwd.hdr = *hdr
 		err := w.medium.Unicast(n.id, entry.Next, hdr.PayloadBits, energy.CatTx, fwd)
-		w.putPacket(fwd)
+		w.packets.put(fwd)
 		if err != nil {
 			w.drop(fr)
 			w.noteDepletion(n, err)

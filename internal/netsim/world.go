@@ -24,7 +24,7 @@ import (
 
 // dataPacket is one in-flight data packet. Packets travel by pointer and
 // are recycled through the world's pool on the synchronous radio, so the
-// steady-state hop path allocates nothing (see World.getPacket).
+// steady-state hop path allocates nothing (see freeList).
 type dataPacket struct {
 	hdr core.Header
 }
@@ -141,10 +141,15 @@ type World struct {
 	motionFn    sim.Func
 	// syncRadio records that the radio delivers synchronously (zero
 	// bandwidth): messages are fully consumed before a send returns, so
-	// packet and beacon boxes can be pooled instead of allocated per hop.
-	syncRadio  bool
-	pktPool    []*dataPacket
-	beaconPool []*hello.Beacon
+	// packet, ack and beacon boxes are recycled through free lists
+	// instead of allocated per hop. pendingTxs recycles the retry
+	// transport's pending entries, which never leave the world, on any
+	// radio; an entry goes back only once no armed timer refers to it.
+	syncRadio   bool
+	packets     freeList[dataPacket]
+	acks        freeList[ackPacket]
+	beaconBoxes freeList[hello.Beacon]
+	pendingTxs  freeList[pendingTx]
 	// Scratch buffers reused across hot-path calls (the world is
 	// single-threaded): flow-table rows for movement decisions, per-flow
 	// targets/weights for multi-flow relays, and the live-node compaction
@@ -157,39 +162,30 @@ type World struct {
 	liveToNew     []int
 }
 
-// getPacket returns a packet box to send through the medium; putPacket
-// recycles it once the send returned. On a positive-bandwidth radio the
-// message outlives the send (it sits in the scheduler until delivered), so
-// putPacket only pools on the synchronous radio and boxes are otherwise
+// freeList is a stack of reusable boxes; the world is single-threaded,
+// so it needs no locking. A list with drop set discards what is put back:
+// on a positive-bandwidth radio a message outlives the send that carried
+// it (it sits in the scheduler until delivered), so message boxes are
+// only recycled on the synchronous radio and are otherwise
 // garbage-collected.
-func (w *World) getPacket() *dataPacket {
-	if n := len(w.pktPool); n > 0 {
-		p := w.pktPool[n-1]
-		w.pktPool = w.pktPool[:n-1]
-		return p
-	}
-	return new(dataPacket)
+type freeList[T any] struct {
+	free []*T
+	drop bool
 }
 
-func (w *World) putPacket(p *dataPacket) {
-	if w.syncRadio {
-		w.pktPool = append(w.pktPool, p)
+func (f *freeList[T]) get() *T {
+	if n := len(f.free); n > 0 {
+		v := f.free[n-1]
+		f.free = f.free[:n-1]
+		return v
 	}
+	return new(T)
 }
 
-// getBeacon and putBeacon are the HELLO counterpart of the packet pool.
-func (w *World) getBeacon() *hello.Beacon {
-	if n := len(w.beaconPool); n > 0 {
-		b := w.beaconPool[n-1]
-		w.beaconPool = w.beaconPool[:n-1]
-		return b
-	}
-	return new(hello.Beacon)
-}
-
-func (w *World) putBeacon(b *hello.Beacon) {
-	if w.syncRadio {
-		w.beaconPool = append(w.beaconPool, b)
+// put recycles v, whose holder must no longer use it.
+func (f *freeList[T]) put(v *T) {
+	if !f.drop {
+		f.free = append(f.free, v)
 	}
 }
 
@@ -250,6 +246,8 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 		observing: cfg.Tracer != nil || cfg.Sink != nil,
 		syncRadio: cfg.Radio.Bandwidth <= 0,
 		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
+	async := !w.syncRadio
+	w.packets.drop, w.acks.drop, w.beaconBoxes.drop = async, async, async
 	w.grid, _ = index.(*spatial.Grid)
 	w.cellSize = cfg.Radio.Range
 	w.emitFn = func(arg any) { w.emit(arg.(*flowRuntime)) }
@@ -739,10 +737,10 @@ func (w *World) emit(fr *flowRuntime) {
 	if w.retryEnabled() {
 		srcNode.sendReliable(fr, hdr)
 	} else {
-		pkt := w.getPacket()
+		pkt := w.packets.get()
 		pkt.hdr = hdr
 		err := w.medium.Unicast(srcNode.id, next, hdr.PayloadBits, energy.CatTx, pkt)
-		w.putPacket(pkt)
+		w.packets.put(pkt)
 		if err != nil {
 			w.drop(fr)
 			w.noteDepletion(srcNode, err)
@@ -825,10 +823,10 @@ func (w *World) markAlive(n *node) {
 	}
 	w.store.dead[n.id] = false
 	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeRecovered, Node: n.id, Pos: n.pos()})
-	b := w.getBeacon()
+	b := w.beaconBoxes.get()
 	*b = n.beacon()
 	_, err := w.medium.Broadcast(n.id, w.cfg.HelloBits, energy.CatControl, b)
-	w.putBeacon(b)
+	w.beaconBoxes.put(b)
 	if err != nil {
 		w.noteDepletion(n, err)
 		return
