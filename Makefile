@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
 	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
+	$(GO) test -fuzz=FuzzRows -fuzztime=5s ./internal/spatial/
 	$(GO) test -fuzz=FuzzSeenSet -fuzztime=5s ./internal/netsim/
 
 # cover enforces per-package coverage floors on the packages whose
@@ -74,8 +75,9 @@ bench:
 # disabled MotionOverhead rungs are gated — they pin the
 # zero-cost-when-off contract; the active rungs run to the horizon and
 # are too slow (and too scenario-dependent) for a ratchet. The retry
-# FaultOverhead rungs pin the allocation-free retry/ack transport.
-GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkFaultOverhead/(retry|lossy-retry)$$
+# FaultOverhead rungs pin the allocation-free retry/ack transport; the
+# SpatialRows rung pins the allocation-free rebuild of neighbor rows.
+GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkFaultOverhead/(retry|lossy-retry)$$|BenchmarkSpatialRows/n100k$$
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set
@@ -84,7 +86,7 @@ GATE_FLAGS  = -run '^$$' -benchmem -count=3
 # baseline — benchgate fails on baseline entries missing from a run, so
 # every gate invocation reruns it once.
 define GATE_BENCH_RUN
-( $(GO) test $(GATE_FLAGS) -bench '$(GATED_BENCH)' -benchtime $(1) . ./internal/sim/ ./internal/serve/ ./internal/netsim/ \
+( $(GO) test $(GATE_FLAGS) -bench '$(GATED_BENCH)' -benchtime $(1) . ./internal/sim/ ./internal/serve/ ./internal/netsim/ ./internal/spatial/ \
 	&& $(GO) test -run '^$$' -benchmem -count=1 -bench 'BenchmarkWorld100k/n100k' -benchtime 1x ./internal/netsim/ )
 endef
 

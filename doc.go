@@ -68,10 +68,10 @@
 //
 // # Scaling
 //
-// Neighbor queries run against a uniform-grid spatial index
-// (radio-range-sized cells, O(k) per query), so node counts far beyond
-// the paper's 100 stay tractable; Config.NeighborIndex selects the
-// brute-force reference scan instead, which produces bit-identical
-// results. See ARCHITECTURE.md for the package map and dataflow, and
+// Neighbor queries are answered from neighbor rows built by one sweep
+// over radio-range-sized cells (O(k) per node), so node counts far
+// beyond the paper's 100 stay tractable; Config.NeighborIndex selects
+// the all-pairs brute-force reference instead, which produces
+// bit-identical results. See ARCHITECTURE.md for the package map and dataflow, and
 // EXPERIMENTS.md for measured figures and scaling numbers.
 package imobif

@@ -126,11 +126,11 @@ type Config struct {
 	EstimateScale float64
 	// StopOnFirstDeath ends the run when any node depletes its battery.
 	StopOnFirstDeath bool
-	// NeighborIndex selects the spatial index backing neighbor queries:
-	// "grid" (the default when empty) answers range queries in O(k) via
-	// radio-range-sized cells and makes large Nodes counts tractable;
-	// "brute" is the O(n) reference scan kept for differential testing.
-	// Both produce bit-identical results.
+	// NeighborIndex selects how the world finds in-range neighbors:
+	// "grid" (the default when empty) sweeps radio-range-sized cells and
+	// makes large Nodes counts tractable; "brute" tests all O(n²) pairs
+	// and is kept for differential testing. Both produce bit-identical
+	// results.
 	NeighborIndex string
 	// Faults optionally enables the fault-injection layer: seeded per-link
 	// packet loss, scheduled node crash/recovery, the hop-by-hop retry/ack

@@ -105,14 +105,11 @@ type Config struct {
 	// Planner plans flow paths on the initial topology (default greedy,
 	// as in the paper's evaluation).
 	Planner routing.Planner
-	// NeighborIndex selects the spatial index backing the world's
-	// neighbor queries — initial HELLO seeding, beacon broadcast receiver
-	// lookup, and AODV flood fan-out. spatial.KindGrid (the default when
-	// empty) answers range queries in O(k) via radio-range-sized cells
-	// and is what makes large-node-count scenarios tractable;
-	// spatial.KindBrute is the O(n) reference scan kept for differential
-	// testing. Both produce bit-identical runs (see the equivalence
-	// tests).
+	// NeighborIndex selects how the world builds the neighbor rows that
+	// answer every in-range question (seeding, broadcast receivers, AODV
+	// floods, Graph): spatial.KindGrid (the default when empty) sweeps
+	// radio-range-sized cells; spatial.KindBrute tests all O(n²) pairs, the
+	// oracle of the differential tests. Both produce bit-identical runs.
 	NeighborIndex spatial.Kind
 	// Faults, when non-nil, enables the fault-injection layer: seeded
 	// per-link packet loss on the radio medium, scheduled node
@@ -164,16 +161,6 @@ type Config struct {
 	// Shards is accepted for compatibility and ignored; negative is
 	// invalid.
 	Shards int
-	// NeighborStaleness, when positive, switches broadcast receiver sets
-	// to budget mode: a sender's cached receiver snapshot is reused until
-	// the sender crosses a grid cell or the snapshot is older than this
-	// budget, instead of being revalidated against the grid every
-	// broadcast. Receiver sets may then lag topology changes by up to one
-	// budget — a documented approximation that trades HELLO fidelity for
-	// throughput at large n. Zero (the default) keeps exact semantics:
-	// snapshots are revalidated by cell + region-stamp checks and results
-	// are byte-identical to querying the index every time.
-	NeighborStaleness sim.Time
 }
 
 // DefaultConfig returns the paper-reconstructed parameters (DESIGN.md §1):
@@ -255,9 +242,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("netsim: negative shard count %d", c.Shards)
-	}
-	if c.NeighborStaleness < 0 {
-		return fmt.Errorf("netsim: negative neighbor staleness %v", c.NeighborStaleness)
 	}
 	return nil
 }

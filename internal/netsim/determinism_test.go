@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
@@ -10,7 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/motion"
-	"repro/internal/sim"
 	"repro/internal/spatial"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -189,138 +190,96 @@ func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 	}
 }
 
-// TestDeterminismStaleNeighborBudget pins the budget-mode semantics of the
-// stale-tolerant receiver cache (satellite 3):
+// TestDeterminismNeighborRows pins the Verlet neighbor rows:
 //
-//   - a node crossing a grid cell boundary is seen by HELLO receivers
-//     within one staleness budget (the crossing invalidates the sender's
-//     snapshot immediately, and neighbors' snapshots age out);
-//   - a dead node never lingers in refreshed snapshots past the budget;
-//   - a fully stationary world recomputes zero snapshots after seeding,
-//     counter-asserted via World.recvRefreshes like spatial.Rebuckets.
-func TestDeterminismStaleNeighborBudget(t *testing.T) {
-	t.Run("stationary-zero-recomputes", func(t *testing.T) {
-		// Budget mode with an endless budget, and exact mode, where an
-		// unmoved sender revalidates its snapshot by region stamp.
-		for _, staleness := range []sim.Time{1e9, 0} {
-			cfg := DefaultConfig()
-			cfg.Mode = ModeNoMobility
-			cfg.NeighborIndex = spatial.KindGrid
-			cfg.NeighborStaleness = staleness
-			cfg.BeaconMoveEps = 0 // every node beacons every round
-			pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
-			energies := []float64{500, 500, 500, 500}
-			w, err := NewWorld(cfg, pts, energies)
+//   - a stationary world builds its rows exactly once, at NewWorld, however
+//     many rounds it beacons;
+//   - under drift with a margin so tiny that the rows go stale every
+//     motion step, every round's receiver sets still equal brute-force
+//     range queries over the current positions (checked after every
+//     round, while the rows the round used are still current), the rows
+//     are rebuilt many times, and the Result is byte-identical to the
+//     default margin's.
+func TestDeterminismNeighborRows(t *testing.T) {
+	t.Run("stationary-builds-once", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Mode = ModeNoMobility
+		cfg.BeaconMoveEps = 0 // every node beacons every round
+		pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0), geom.Pt(450, 0)}
+		w, err := NewWorld(cfg, pts, []float64{500, 500, 500, 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if w.medium.Stats().Broadcasts <= uint64(len(pts)) {
+			t.Fatalf("only %d broadcasts, too few rounds to rebuild anything", w.medium.Stats().Broadcasts)
+		}
+		if w.rows.builds != 1 {
+			t.Errorf("stationary world built its rows %d times, want 1", w.rows.builds)
+		}
+	})
+
+	t.Run("drift-tiny-margin", func(t *testing.T) {
+		run := func(margin float64) (*World, []byte) {
+			w := buildScaleWorld(t, 2000, 20, false, 0)
+			// One long flow keeps the world drifting for 30 s.
+			long := w.flows[0].spec
+			long.LengthBits = 30 * w.cfg.PacketBits
+			if _, err := w.AddFlow(long); err != nil {
+				t.Fatal(err)
+			}
+			checked := 0
+			if margin > 0 {
+				w.rows.setMargin(w.cfg.Radio.Range, margin)
+			}
+			r := w.cfg.Radio.Range
+			w.afterRound = func() {
+				if len(w.beacons.senders) == 0 {
+					return
+				}
+				if w.rows.stale {
+					t.Fatalf("t=%v: rows went stale within a round", w.sched.Now())
+				}
+				for _, s := range w.beacons.senders {
+					got := w.appendInRange(nil, s)
+					var want []NodeID
+					for j, q := range w.store.pos {
+						if j != s && q.Dist2(w.store.pos[s]) <= r*r {
+							want = append(want, j)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("t=%v: node %d receivers %v, brute %v", w.sched.Now(), s, got, want)
+					}
+				}
+				checked++
+			}
+			res, err := w.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 3, LengthBits: 5e5}); err != nil {
+			if checked == 0 {
+				t.Fatal("no round had senders")
+			}
+			raw, err := json.Marshal(res)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.Run(); err != nil {
-				t.Fatal(err)
-			}
-			// Each sender computes its snapshot once; nothing moves, so no
-			// snapshot is ever recomputed.
-			if w.medium.Stats().Broadcasts <= uint64(len(pts)) {
-				t.Fatalf("staleness %v: only %d broadcasts, too few to recompute anything", staleness, w.medium.Stats().Broadcasts)
-			}
-			if w.recvRefreshes > uint64(len(pts)) {
-				t.Errorf("staleness %v: stationary world recomputed receiver snapshots: %d refreshes for %d nodes",
-					staleness, w.recvRefreshes, len(pts))
-			}
+			return w, raw
 		}
-	})
-
-	t.Run("cell-crossing-within-budget", func(t *testing.T) {
-		// Node 1 sits just left of the x=200 cell boundary and drifts
-		// right across it. Its own snapshot must be invalidated by the
-		// crossing itself, and node 0 must relearn node 1's advertised
-		// position within one staleness budget of the crossing.
-		const budget = 4
-		cfg := DefaultConfig()
-		cfg.Mode = ModeCostUnaware
-		cfg.NeighborIndex = spatial.KindGrid
-		cfg.NeighborStaleness = budget
-		cfg.BeaconMoveEps = 0.5 // beacon every round while moving
-		cfg.Motion = &motion.Config{
-			Model: motion.ModelGaussMarkov, Seed: 3,
-			FieldW: 500, FieldH: 100, SpeedLo: 2, SpeedHi: 4,
+		def, want := run(0)
+		tiny, got := run(1e-3)
+		t.Logf("row builds: %d at the tiny margin, %d at the default", tiny.rows.builds, def.rows.builds)
+		if tiny.rows.builds <= 1 || tiny.rows.builds <= def.rows.builds {
+			t.Errorf("tiny margin built rows %d times, default %d: the margin forced no rebuilds", tiny.rows.builds, def.rows.builds)
 		}
-		cfg.Horizon = 120
-		pts := []geom.Point{geom.Pt(120, 50), geom.Pt(195, 50), geom.Pt(320, 50)}
-		energies := []float64{5000, 5000, 5000}
-		w, err := NewWorld(cfg, pts, energies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 2, LengthBits: 4e6}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		crossed := false
-		if cellX, _ := cellCoords(w.store.pos[1], w.cellSize); cellX != 0 {
-			crossed = true
-		}
-		if !crossed && w.grid.Rebuckets() == 0 {
-			t.Skip("no cell crossing happened in this run; scenario needs adjusting")
-		}
-		// Node 0's view of node 1 must match a recently advertised
-		// position: within (budget + HelloInterval) of current truth at
-		// the configured speeds.
-		entry, ok := w.nodes[0].neighbors.Get(1, w.sched.Now())
-		if !ok {
-			t.Fatal("node 0 lost its HELLO entry for node 1")
-		}
-		maxLag := (float64(budget) + float64(cfg.HelloInterval)) * 4 // budget × top speed
-		if d := entry.Position.Dist(w.store.pos[1]); d > maxLag {
-			t.Errorf("node 0 sees node 1 at %v, actual %v: lag %.1f m exceeds one staleness budget (%.1f m)",
-				entry.Position, w.store.pos[1], d, maxLag)
-		}
-	})
-
-	t.Run("dead-node-purged-after-budget", func(t *testing.T) {
-		const budget = 2
-		cfg := DefaultConfig()
-		cfg.Mode = ModeCostUnaware
-		cfg.NeighborIndex = spatial.KindGrid
-		cfg.NeighborStaleness = budget
-		cfg.BeaconMoveEps = 0 // every node beacons every round
-		cfg.Horizon = 60
-		pts := []geom.Point{geom.Pt(0, 0), geom.Pt(150, 0), geom.Pt(300, 0)}
-		energies := []float64{5000, 5000, 5000}
-		w, err := NewWorld(cfg, pts, energies)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 2, LengthBits: 1e7}); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.ScheduleNodeFailure(1, 10); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		// After the budget expired every live sender refreshed its
-		// snapshot, and refreshes filter dead nodes: no live node's cached
-		// receiver set may still contain node 1. (A dead sender's own
-		// snapshot is exempt: it stops broadcasting, so its cache is
-		// frozen — and never consulted.)
-		for i := range w.recv {
-			if !w.recv[i].valid || w.store.dead[i] {
-				continue
-			}
-			if w.sched.Now()-w.recv[i].at <= budget {
-				continue // within budget, allowed to be stale
-			}
-			for _, id := range w.recv[i].ids {
-				if id == 1 {
-					t.Errorf("node %d's receiver snapshot still lists dead node 1 past the staleness budget", i)
-				}
-			}
+		if string(got) != string(want) {
+			t.Errorf("tiny-margin result differs from the default margin's:\n%s\n%s", got, want)
 		}
 	})
 }

@@ -35,13 +35,14 @@ func (t *aodvTransport) Broadcast(from routing.NodeID, msg any) error {
 	if err := t.charge(sender, w.cfg.Radio.Range); err != nil {
 		return err
 	}
-	// The spatial index narrows the flood fan-out to in-range nodes in
+	// The sender's row narrows the flood fan-out to in-range nodes in
 	// O(k); dead nodes are dropped before any delivery is queued (and the
 	// closure re-checks, since a node can die between queueing and pump).
-	t.scratch = w.index.AppendInRange(t.scratch[:0], sender.pos(), w.cfg.Radio.Range)
+	w.freshRows()
+	t.scratch = w.appendInRange(t.scratch[:0], from)
 	for _, id := range t.scratch {
 		n := w.nodes[id]
-		if n.id == from || n.dead() {
+		if n.dead() {
 			continue
 		}
 		n, from := n, from

@@ -15,15 +15,14 @@ package netsim
 // most once per round — a node sends at most one beacon per round — with
 // the round's single timestamp, and tables are sorted by ID, so the order
 // of a round's deliveries cannot be observed. Within a round no node
-// moves or dies, the spatial index is only read, resolving a sender's
-// receivers writes only that sender's receiver cache, and each receiver's
-// table is written by one merge. The batched round exploits that in two
-// phases, the heavy parts of each data-parallel:
+// moves or dies, the neighbor rows are only read (a stale set is rebuilt
+// before the round starts), and each receiver's table is written by one
+// merge. The batched round exploits that in two phases, the heavy parts
+// of each data-parallel:
 //
 //   - Send. The round's senders are taken in ID order. The round workers
-//     resolve their receiver sets — each worker a contiguous run of the
-//     senders, through resolveReceivers into its own buffer, counting its
-//     own cache refreshes. Then, serially in sender order,
+//     filter their rows into receiver sets, each worker a contiguous run
+//     of the senders. Then, serially in sender order,
 //     radio.Medium.AppendBroadcastTo charges each sender, consults the
 //     fault hook per receiver and counts the same stats as a per-message
 //     broadcast, but returns the reached receivers instead of delivering.
@@ -117,13 +116,11 @@ type beaconBatch struct {
 
 // roundWorker is one round worker's private state: the receiver sets of
 // its run of senders, concatenated in ids with ends[i] closing sender
-// i's; the refreshes those resolutions counted; and the row buffer of
-// its merges. Seeding reuses ids and rows.
+// i's, and the row buffer of its merges. Seeding reuses ids and rows.
 type roundWorker struct {
-	ids       []NodeID
-	ends      []int32
-	refreshes uint64
-	rows      []hello.Beacon
+	ids  []NodeID
+	ends []int32
+	rows []hello.Beacon
 }
 
 // roundWorkers returns the first parts worker states, growing the set on
@@ -206,6 +203,10 @@ func (w *World) batchedRound() {
 			bb.senders = append(bb.senders, i)
 		}
 	}
+	if len(bb.senders) == 0 {
+		return
+	}
+	w.freshRows()
 	parts := w.round.parts(len(bb.senders))
 	if parts > 1 {
 		w.splitRounds++
@@ -236,25 +237,18 @@ func (w *World) resolveWindow(window []NodeID, workers []roundWorker) {
 			w.resolveRun(window[k*len(window)/parts:(k+1)*len(window)/parts], &workers[k])
 		})
 	}
-	for k := range workers {
-		w.recvRefreshes += workers[k].refreshes
-	}
 }
 
 // resolveRun resolves the receiver sets of one worker's run of senders
 // into its buffers.
 func (w *World) resolveRun(run []NodeID, rw *roundWorker) {
 	// Work on locals: the worker states share cache lines.
-	ids, ends, refreshes := rw.ids[:0], rw.ends[:0], uint64(0)
+	ids, ends := rw.ids[:0], rw.ends[:0]
 	for _, id := range run {
-		var refreshed bool
-		ids, refreshed = w.resolveReceivers(ids, id, w.store.pos[id], w.cfg.Radio.Range)
+		ids = w.appendInRange(ids, id)
 		ends = append(ends, int32(len(ids)))
-		if refreshed {
-			refreshes++
-		}
 	}
-	rw.ids, rw.ends, rw.refreshes = ids, ends, refreshes
+	rw.ids, rw.ends = ids, ends
 }
 
 // queueBeacon is the accounting step for one sender, given its resolved

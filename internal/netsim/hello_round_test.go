@@ -14,22 +14,23 @@ import (
 
 // roundPathRun is everything a HELLO round may influence, as observed by
 // the round-path differential tests: every node's table digest after
-// every round, the medium counters, the receiver-set refreshes, and the
+// every round, the medium counters, the neighbor-row builds, and the
 // Result.
 type roundPathRun struct {
 	tables     []string
 	maxDeliver uint64 // most deliveries in one round
 	medium     radio.Stats
-	refreshes  uint64
+	rowBuilds  uint64
 	result     []byte
 	batched    bool   // the two-phase round's buffers were used
 	split      uint64 // rounds that took the data-parallel split
 }
 
 // runRoundPath builds the 80-node differential scene under cfg, with the
-// per-message round forced on or off, the apply threshold at maxPairs and
-// the round split at split, and runs it to completion.
-func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split roundSplit) roundPathRun {
+// per-message round forced on or off, the apply threshold at maxPairs,
+// the round split at split and, when positive, the neighbor-row margin
+// at margin, and runs it to completion.
+func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split roundSplit, margin float64) roundPathRun {
 	t.Helper()
 	src := stats.NewSource(77)
 	pts := topo.PlaceUniform(src, 80, 700, 700)
@@ -59,6 +60,9 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split
 	}
 	w.perMessageHello = perMessage
 	w.beacons.maxPairs = maxPairs
+	if margin > 0 {
+		w.rows.setMargin(w.cfg.Radio.Range, margin)
+	}
 	var run roundPathRun
 	var delivered uint64
 	w.afterRound = func() {
@@ -75,7 +79,7 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split
 		t.Fatal(err)
 	}
 	run.medium = w.medium.Stats()
-	run.refreshes = w.recvRefreshes
+	run.rowBuilds = w.rows.builds
 	run.batched = cap(w.beacons.recv) > 0
 	run.split = w.splitRounds
 	return run
@@ -90,20 +94,22 @@ func forcedSplit(workers int) roundSplit {
 
 // roundScene is one configuration of the round-path differential scene.
 // maxPairs is the apply threshold; workers, when positive, forces the
-// data-parallel split with that many workers.
+// data-parallel split with that many workers; margin, when positive,
+// forces the neighbor-row margin.
 type roundScene struct {
 	name     string
 	mutate   func(*Config)
 	maxPairs int
 	workers  int
+	margin   float64
 }
 
 // roundScenes are the scenes both differential tests run: drift with
 // loss, retry, route repair and expiring tables; crashes and recoveries
 // in informed mode, where relays read the tables; the parallel
 // scheduler; an apply threshold low enough that rounds are applied in
-// several chunks; budget-mode receiver sets; and the brute-force index,
-// which bypasses the receiver cache.
+// several chunks; a neighbor-row margin so tiny that the rows are rebuilt
+// almost every round; and the brute-force row builder.
 func roundScenes() []roundScene {
 	drift := &motion.Config{Model: motion.ModelGaussMarkov, Seed: 11, FieldW: 700, FieldH: 700, SpeedLo: 0.5, SpeedHi: 2}
 	return []roundScene{
@@ -112,31 +118,30 @@ func roundScenes() []roundScene {
 			cfg.Motion = drift
 			cfg.NeighborTTL = 3
 			cfg.Faults = &fault.Config{LossP: 0.1, Seed: 3, RetryLimit: 3, RetryTimeout: 0.25, RouteRepair: true}
-		}, beaconBatchPairs, 0},
+		}, beaconBatchPairs, 0, 0},
 		{"crash-recovery-informed", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.Faults = &fault.Config{
 				LossP: 0.05, Seed: 5, RetryLimit: 2, RetryTimeout: 0.3, RouteRepair: true,
 				Crashes: []fault.Crash{{Node: 3, At: 20, RecoverAt: 90}, {Node: 17, At: 35}, {Node: 41, At: 5, RecoverAt: 60}},
 			}
-		}, beaconBatchPairs, 0},
+		}, beaconBatchPairs, 0, 0},
 		{"parallel-scheduler", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.Parallel = true
 			cfg.Shards = 2
-		}, beaconBatchPairs, 2},
+		}, beaconBatchPairs, 2, 0},
 		{"chunked-apply", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.NeighborTTL = 2
-		}, 40, 0},
-		{"staleness-budget", func(cfg *Config) {
+		}, 40, 0, 0},
+		{"tiny-margin", func(cfg *Config) {
 			cfg.Motion = drift
-			cfg.NeighborStaleness = 3
-		}, beaconBatchPairs, 0},
+		}, beaconBatchPairs, 0, 1e-3},
 		{"brute-index", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.NeighborIndex = spatial.KindBrute
-		}, beaconBatchPairs, 0},
+		}, beaconBatchPairs, 0, 0},
 	}
 }
 
@@ -150,8 +155,8 @@ func (sc roundScene) config() Config {
 }
 
 // sameRun fails t unless got agrees with the per-message reference on
-// every table after every round, the medium counters, the receiver-set
-// refreshes and the whole Result.
+// every table after every round, the medium counters, the neighbor-row
+// builds and the whole Result.
 func sameRun(t *testing.T, got, want roundPathRun) {
 	t.Helper()
 	if len(got.tables) != len(want.tables) {
@@ -165,8 +170,8 @@ func sameRun(t *testing.T, got, want roundPathRun) {
 	if got.medium != want.medium {
 		t.Errorf("medium stats: %+v, per-message %+v", got.medium, want.medium)
 	}
-	if got.refreshes != want.refreshes {
-		t.Errorf("receiver-set refreshes: %d, per-message %d", got.refreshes, want.refreshes)
+	if got.rowBuilds != want.rowBuilds {
+		t.Errorf("neighbor-row builds: %d, per-message %d", got.rowBuilds, want.rowBuilds)
 	}
 	if string(got.result) != string(want.result) {
 		t.Errorf("results diverge:\ngot         %s\nper-message %s", got.result, want.result)
@@ -186,8 +191,8 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 			if sc.workers > 0 {
 				split = forcedSplit(sc.workers)
 			}
-			batched := runRoundPath(t, cfg, false, sc.maxPairs, split)
-			perMsg := runRoundPath(t, cfg, true, sc.maxPairs, split)
+			batched := runRoundPath(t, cfg, false, sc.maxPairs, split, sc.margin)
+			perMsg := runRoundPath(t, cfg, true, sc.maxPairs, split, sc.margin)
 			if !batched.batched || perMsg.batched {
 				t.Fatalf("round paths not as forced: batched used buffers %v, per-message %v", batched.batched, perMsg.batched)
 			}
@@ -200,6 +205,9 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 			if sc.maxPairs < beaconBatchPairs && batched.maxDeliver <= uint64(sc.maxPairs) {
 				t.Fatalf("largest round delivered %d beacons, not above the %d-pair threshold", batched.maxDeliver, sc.maxPairs)
 			}
+			if sc.margin > 0 && batched.rowBuilds < uint64(len(batched.tables))/2 {
+				t.Fatalf("%d row builds over %d rounds: the tiny margin forced too few rebuilds", batched.rowBuilds, len(batched.tables))
+			}
 			sameRun(t, batched, perMsg)
 		})
 	}
@@ -208,16 +216,16 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 // TestDeterminismHelloRoundWorkers pins the data-parallel round: with
 // every round and the seeding forced onto the split, at 1, 2, 3 and 8
 // workers, each of roundScenes must match the per-message round on
-// every table after every round, the medium counters, the receiver-set
-// refreshes and the Result. The Makefile's race and parallel targets
+// every table after every round, the medium counters, the neighbor-row
+// builds and the Result. The Makefile's race and parallel targets
 // select it by name.
 func TestDeterminismHelloRoundWorkers(t *testing.T) {
 	for _, sc := range roundScenes() {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sc.config()
-			want := runRoundPath(t, cfg, true, sc.maxPairs, defaultRoundSplit())
+			want := runRoundPath(t, cfg, true, sc.maxPairs, defaultRoundSplit(), sc.margin)
 			for _, workers := range []int{1, 2, 3, 8} {
-				got := runRoundPath(t, cfg, false, sc.maxPairs, forcedSplit(workers))
+				got := runRoundPath(t, cfg, false, sc.maxPairs, forcedSplit(workers), sc.margin)
 				if (got.split > 0) != (workers > 1) {
 					t.Fatalf("workers=%d: %d rounds split", workers, got.split)
 				}
@@ -240,7 +248,7 @@ func TestPositiveBandwidthWorldSmoke(t *testing.T) {
 	cfg.Mode = ModeCostUnaware
 	cfg.Horizon = 300
 	cfg.Radio.Bandwidth = 2e6
-	run := runRoundPath(t, cfg, false, beaconBatchPairs, defaultRoundSplit())
+	run := runRoundPath(t, cfg, false, beaconBatchPairs, defaultRoundSplit(), 0)
 	if run.batched {
 		t.Fatal("positive-bandwidth rounds took the batched path")
 	}

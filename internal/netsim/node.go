@@ -16,7 +16,7 @@ import (
 
 // node carries one node's protocol state: HELLO neighbor table, flow
 // table, last advertised beacon, AODV instance, and retry-transport state.
-// The dense per-node state — position, battery, alive flag, grid cell —
+// The dense per-node state — position, battery, alive flag —
 // lives in the world's struct-of-arrays nodeStore (see store.go) and is
 // reached through the pos/battery/dead accessors.
 type node struct {

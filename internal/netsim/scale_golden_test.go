@@ -19,7 +19,9 @@ const (
 	goldenScaleDigest     = "6d7da99dc5a03806"
 	goldenScaleBroadcasts = 8417
 	goldenScaleDelivered  = 123792
-	goldenScaleRefreshes  = 8417
+	// goldenScaleRowBuilds counts the neighbor-row builds of the run:
+	// the one at NewWorld plus the rebuilds drift forces.
+	goldenScaleRowBuilds = 1
 	// goldenScaleTables digests every node's final neighbor-table
 	// Snapshot (see tableDigest), captured from the per-message HELLO
 	// rounds. ModeNoMobility never reads a table, so the Result digest
@@ -80,8 +82,8 @@ func TestScaleGoldenN5k(t *testing.T) {
 		t.Errorf("medium broadcasts/delivered = %d/%d, want %d/%d",
 			res.Medium.Broadcasts, res.Medium.Delivered, goldenScaleBroadcasts, goldenScaleDelivered)
 	}
-	if w.recvRefreshes != goldenScaleRefreshes {
-		t.Errorf("receiver-set refreshes = %d, want %d", w.recvRefreshes, goldenScaleRefreshes)
+	if w.rows.builds != goldenScaleRowBuilds {
+		t.Errorf("neighbor-row builds = %d, want %d", w.rows.builds, goldenScaleRowBuilds)
 	}
 	if got := tableDigest(w); got != goldenScaleTables {
 		t.Errorf("neighbor-table digest %s, want %s", got, goldenScaleTables)

@@ -68,11 +68,11 @@ func TestGridBruteWorldEquivalence(t *testing.T) {
 }
 
 // TestWorldIndexTracksMovement drives a world whose relays migrate across
-// grid cell boundaries (cell size = radio range = 200 m) and then checks
-// the live index against a brute-force recompute from final positions:
-// every node's in-range neighbor set must match exactly. This guards the
-// Move hook in node.move — a stale cell entry would surface here as a
-// missing or phantom neighbor after a boundary crossing.
+// 200 m boundaries, well past the neighbor rows' margin, and then checks
+// the rows against a brute-force recompute from final positions: every
+// node's in-range neighbor set must match exactly. This guards the
+// staleness hook in moveNode — a missed rebuild would surface here as a
+// missing or phantom neighbor.
 func TestWorldIndexTracksMovement(t *testing.T) {
 	// An unevenly spaced zigzag chain: straightening pulls the relays
 	// toward even spacing on the src–dst line (equilibria x ≈ 110, 210,
@@ -119,17 +119,21 @@ func TestWorldIndexTracksMovement(t *testing.T) {
 	if !moved {
 		t.Fatal("no node crossed a 200 m cell boundary; test topology needs adjusting")
 	}
+	if w.rows.builds < 2 {
+		t.Fatalf("rows built %d times: the relays' moves never made them stale", w.rows.builds)
+	}
+	w.freshRows()
 	r := w.cfg.Radio.Range
 	for _, n := range w.nodes {
-		got := w.index.InRange(n.pos(), r)
+		got := w.appendInRange(nil, n.id)
 		var want []int
 		for _, m := range w.nodes {
-			if m.pos().Dist2(n.pos()) <= r*r {
+			if m.id != n.id && m.pos().Dist2(n.pos()) <= r*r {
 				want = append(want, m.id)
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("node %d at %v: index neighbors %v, brute recompute %v", n.id, n.pos(), got, want)
+			t.Errorf("node %d at %v: row neighbors %v, brute recompute %v", n.id, n.pos(), got, want)
 		}
 	}
 }

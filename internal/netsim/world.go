@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -65,27 +66,12 @@ type World struct {
 	nodes  []*node
 	flows  []*flowRuntime
 
-	// index tracks every node's current position for O(k) neighbor
-	// queries (Config.NeighborIndex selects grid vs brute-force). It is
-	// updated on every node move and serves HELLO seeding, broadcast
-	// receiver lookup (via the medium's locator), and AODV floods. Dead
-	// nodes stay indexed: the radio still "reaches" them, and receivers
-	// are responsible for ignoring traffic, exactly as in the reference
-	// scan.
-	index spatial.Index
-	// grid is the index downcast to the grid implementation when the
-	// configured kind is grid-backed; nil otherwise. Receiver-set caching
-	// (see appendReceivers) needs the grid's RegionStamp.
-	grid *spatial.Grid
 	// store holds the dense struct-of-arrays node state (position,
-	// battery, alive flag, grid cell); see store.go.
-	store    nodeStore
-	cellSize float64
-	// recv caches per-sender broadcast receiver sets; recvRefreshes
-	// counts snapshot recomputations (asserted by the stale-neighbor
-	// regression tests, like spatial.Grid's Rebuckets).
-	recv          []recvCache
-	recvRefreshes uint64
+	// battery, alive flag); see store.go.
+	store nodeStore
+	// rows answers every in-range question: HELLO seeding and receiver
+	// sets, AODV flood fan-out and Graph (see store.go).
+	rows neighborRows
 	// beacons buffers the batched HELLO round, round sizes the round's
 	// data-parallel split, and splitRounds counts the rounds that took
 	// it (see hello_round.go). The other two are seams for the
@@ -97,10 +83,10 @@ type World struct {
 	splitRounds     uint64
 	perMessageHello bool
 	afterRound      func()
-	// topoGraph caches the t=0 connectivity graph across AddFlow calls:
-	// flows are added before Run, when no node has moved, so one graph
-	// serves them all (rebuilding it per flow is quadratic pain at 100k
-	// nodes and 1000 flows).
+	// topoGraph caches Graph's result until a node moves: flows are
+	// added before Run, when no node has moved, so one graph serves them
+	// all (rebuilding it per flow is quadratic pain at 100k nodes and
+	// 1000 flows).
 	topoGraph *topo.Graph
 
 	beaconer   *hello.Beaconer
@@ -151,15 +137,11 @@ type World struct {
 	beaconBoxes freeList[hello.Beacon]
 	pendingTxs  freeList[pendingTx]
 	// Scratch buffers reused across hot-path calls (the world is
-	// single-threaded): flow-table rows for movement decisions, per-flow
-	// targets/weights for multi-flow relays, and the live-node compaction
-	// of route repair.
+	// single-threaded): flow-table rows for movement decisions and
+	// per-flow targets/weights for multi-flow relays.
 	entryScratch  []*core.FlowEntry
 	targetScratch []geom.Point
 	weightScratch []float64
-	livePos       []geom.Point
-	liveToOld     []NodeID
-	liveToNew     []int
 }
 
 // freeList is a stack of reusable boxes; the world is single-threaded,
@@ -238,18 +220,17 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 	if err != nil {
 		return nil, err
 	}
-	index, err := spatial.New(cfg.NeighborIndex, cfg.Radio.Range)
-	if err != nil {
-		return nil, err
-	}
-	w := &World{cfg: cfg, sched: sched, medium: medium, index: index, firstDeath: -1, injector: injector,
+	w := &World{cfg: cfg, sched: sched, medium: medium, firstDeath: -1, injector: injector,
 		observing: cfg.Tracer != nil || cfg.Sink != nil,
 		syncRadio: cfg.Radio.Bandwidth <= 0,
 		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
 	async := !w.syncRadio
 	w.packets.drop, w.acks.drop, w.beaconBoxes.drop = async, async, async
-	w.grid, _ = index.(*spatial.Grid)
-	w.cellSize = cfg.Radio.Range
+	w.rows.build = w.rows.builder.Rows
+	if cfg.NeighborIndex == spatial.KindBrute {
+		w.rows.build = spatial.BruteRows
+	}
+	w.rows.setMargin(cfg.Radio.Range, cfg.Radio.Range*rowMargin)
 	w.emitFn = func(arg any) { w.emit(arg.(*flowRuntime)) }
 	w.markDeadFn = func(arg any) { w.markDead(arg.(*node)) }
 	w.markAliveFn = func(arg any) { w.markAlive(arg.(*node)) }
@@ -263,10 +244,9 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 			return nil, fmt.Errorf("netsim: negative energy %v for node %d", energies[i], i)
 		}
 	}
-	w.store = newNodeStore(positions, energies, w.cellSize)
-	w.recv = make([]recvCache, len(positions))
+	w.store = newNodeStore(positions, energies)
 	w.nodes = make([]*node, 0, len(positions))
-	for i, pos := range positions {
+	for i := range positions {
 		n := &node{
 			id:        i,
 			world:     w,
@@ -274,12 +254,9 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 			flows:     core.NewTable(),
 		}
 		w.nodes = append(w.nodes, n)
-		// Register first: it rejects IDs beyond radio's endpoint bound,
-		// which also keeps them inside the grid's dense ID range.
 		if err := medium.Register(i, n); err != nil {
 			return nil, err
 		}
-		w.index.Insert(i, pos)
 	}
 	medium.UseLocator(worldLocator{w})
 	w.seedNeighborTables()
@@ -304,13 +281,14 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
 
 // seedNeighborTables performs the initial HELLO exchange: every node
-// learns its in-range neighbors' position and energy at t=0. The spatial
-// index serves each node's neighborhood in O(k), ascending, so each
-// table is filled by one UpdateBatch merge at its exact size, reading
-// neighbor state straight from the node store. Nodes are independent —
-// index and store reads plus one table each — so a world of at least
-// round.minSenders nodes seeds contiguous ID ranges on the round workers.
+// learns its in-range neighbors' position and energy at t=0. Each node's
+// row yields its neighborhood ascending, so each table is filled by one
+// UpdateBatch merge at its exact size, reading neighbor state straight
+// from the node store. Nodes are independent — row and store reads plus
+// one table each — so a world of at least round.minSenders nodes seeds
+// contiguous ID ranges on the round workers.
 func (w *World) seedNeighborTables() {
+	w.freshRows()
 	parts := w.round.parts(len(w.nodes))
 	workers := w.roundWorkers(parts)
 	if parts == 1 {
@@ -329,22 +307,47 @@ func (w *World) seedRange(nodes []*node, rw *roundWorker) {
 	buf, rows := rw.ids[:0], rw.rows[:0]
 	for _, n := range nodes {
 		n.lastAdvert = n.beacon()
-		buf = w.index.AppendInRange(buf[:0], st.pos[n.id], w.cfg.Radio.Range)
+		buf = w.appendInRange(buf[:0], n.id)
 		rows = rows[:0]
 		for _, id := range buf {
-			if id != n.id {
-				rows = append(rows, hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()})
-			}
+			rows = append(rows, hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()})
 		}
 		n.neighbors.UpdateBatch(rows, 0)
 	}
 	rw.ids, rw.rows = buf, rows
 }
 
-// Graph returns the unit-disk connectivity graph over current positions,
-// backed by the world's configured neighbor-index kind.
+// Graph returns the unit-disk connectivity graph over current positions.
+// It is built once and returned again until a node moves.
 func (w *World) Graph() (*topo.Graph, error) {
-	return topo.NewGraphIndexed(w.store.pos, w.cfg.Radio.Range, w.cfg.NeighborIndex)
+	if w.topoGraph == nil {
+		w.topoGraph = w.rowGraph(false)
+	}
+	return w.topoGraph, nil
+}
+
+// rowGraph filters the neighbor rows to the radio range into a row graph
+// over a copy of the current positions. With live set, dead nodes are
+// left out of every row and get an empty one of their own.
+func (w *World) rowGraph(live bool) *topo.Graph {
+	w.freshRows()
+	dead := w.store.dead
+	off := make([]NodeID, len(w.nodes)+1)
+	adj := make([]NodeID, 0, len(w.rows.ids))
+	for i := range w.nodes {
+		if !live || !dead[i] {
+			from := len(adj)
+			adj = w.appendInRange(adj, i)
+			if live {
+				adj = adj[:from+len(slices.DeleteFunc(adj[from:], func(j NodeID) bool { return dead[j] }))]
+			}
+		}
+		off[i+1] = len(adj)
+	}
+	// NewRowGraph fails only on a non-positive radius, which Config
+	// validation rejects, or on malformed rows.
+	g, _ := topo.NewRowGraph(append([]geom.Point(nil), w.store.pos...), w.cfg.Radio.Range, off, adj)
+	return g
 }
 
 // AddFlow registers a flow before Run. It plans (or validates) the path on
@@ -365,18 +368,13 @@ func (w *World) AddFlow(spec FlowSpec) (core.FlowID, error) {
 	}
 	// All flows are added before Run on the unmoved t=0 placement, so one
 	// cached graph plans and validates every flow.
-	if w.topoGraph == nil {
-		g, err := w.Graph()
-		if err != nil {
-			return 0, err
-		}
-		w.topoGraph = g
+	g, err := w.Graph()
+	if err != nil {
+		return 0, err
 	}
-	g := w.topoGraph
-	var err error
 	path := spec.Path
 	if path == nil {
-		path, err = w.planPath(g, spec.Src, spec.Dst, nil)
+		path, err = w.planPath(g, spec.Src, spec.Dst)
 		if err != nil {
 			return 0, fmt.Errorf("netsim: planning flow path: %w", err)
 		}
@@ -965,69 +963,27 @@ func (w *World) repairFlow(fr *flowRuntime, at NodeID) bool {
 	return true
 }
 
-// planLive plans a route over the current positions of live nodes only.
-// Node IDs are preserved by remapping in and out of the compacted live
-// graph.
+// planLive plans a route over the current positions of live nodes only:
+// dead nodes are left out of every row of the graph it plans on.
 func (w *World) planLive(src, dst NodeID) ([]NodeID, error) {
 	if w.nodes[src].dead() || w.nodes[dst].dead() {
 		return nil, errors.New("netsim: live planning from or to a dead node")
 	}
-	// Compact into World-owned scratch: the graph built below does not
-	// outlive this call, so the buffers are safe to reuse across repairs.
-	live := w.livePos[:0]
-	toOld := w.liveToOld[:0]
-	toNew := w.liveToNew
-	if cap(toNew) < len(w.nodes) {
-		toNew = make([]int, len(w.nodes))
-	} else {
-		toNew = toNew[:len(w.nodes)]
-	}
-	for i := range w.store.pos {
-		if w.store.dead[i] {
-			toNew[i] = -1
-			continue
-		}
-		toNew[i] = len(live)
-		live = append(live, w.store.pos[i])
-		toOld = append(toOld, i)
-	}
-	w.livePos, w.liveToOld, w.liveToNew = live, toOld, toNew
-	g, err := topo.NewGraphIndexed(live, w.cfg.Radio.Range, w.cfg.NeighborIndex)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := w.planPath(g, toNew[src], toNew[dst], toOld)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]NodeID, len(seg))
-	for i, nid := range seg {
-		out[i] = toOld[nid]
-	}
-	return out, nil
+	return w.planPath(w.rowGraph(true), src, dst)
 }
 
 // planPath routes src→dst over g with the configured planner, feeding
 // current residual battery energies to energy-aware planners so their
 // routes chase the live energy landscape at both flow setup and route
-// repair. toOld maps graph indices back to world node IDs when g is a
-// compacted live-node graph (nil means identity).
-func (w *World) planPath(g *topo.Graph, src, dst NodeID, toOld []NodeID) ([]NodeID, error) {
+// repair.
+func (w *World) planPath(g *topo.Graph, src, dst NodeID) ([]NodeID, error) {
 	ea, ok := w.cfg.Planner.(routing.EnergyAware)
 	if !ok {
 		return w.cfg.Planner.PlanRoute(g, src, dst)
 	}
-	var energies []float64
-	if toOld == nil {
-		energies = make([]float64, len(w.store.batteries))
-		for i := range w.store.batteries {
-			energies[i] = w.store.batteries[i].Residual()
-		}
-	} else {
-		energies = make([]float64, len(toOld))
-		for i, id := range toOld {
-			energies[i] = w.store.batteries[id].Residual()
-		}
+	energies := make([]float64, len(w.store.batteries))
+	for i := range w.store.batteries {
+		energies[i] = w.store.batteries[i].Residual()
 	}
 	return ea.PlanRouteEnergy(g, energies, src, dst)
 }

@@ -106,28 +106,13 @@ type Stats struct {
 }
 
 // Locator is a spatial view of the registered endpoints: it reports which
-// node IDs lie within a radius of a point, in ascending ID order
-// (spatial.Index satisfies it). Installing one via UseLocator lets
-// Broadcast find its receivers in O(k) instead of scanning every
-// registered endpoint.
+// node IDs lie within a radius of a sending node, in ascending ID order
+// (the sender itself may be included; a broadcast skips it). Installing
+// one via UseLocator lets Broadcast find its receivers in O(k) instead of
+// scanning every registered endpoint.
 type Locator interface {
-	// AppendInRange appends the IDs of all indexed nodes within r of p to
-	// dst, ascending, and returns the extended slice.
-	AppendInRange(dst []int, p geom.Point, r float64) []int
-}
-
-// SenderLocator is an optional Locator extension: when the installed
-// locator also implements it, Broadcast resolves receivers through
-// AppendReceivers, passing the sending node's ID so the locator can
-// serve a per-sender cached neighbor snapshot (netsim's lazy HELLO
-// receiver sets) instead of re-running the range query per broadcast.
-// The result contract is AppendInRange's — ascending IDs, the sender
-// itself may be included (Broadcast skips it).
-type SenderLocator interface {
-	Locator
-	// AppendReceivers appends the broadcast receiver set of node from,
-	// currently at p with radio range r, to dst and returns the extended
-	// slice.
+	// AppendReceivers appends the IDs of all nodes within r of node from,
+	// currently at p, to dst, ascending, and returns the extended slice.
 	AppendReceivers(dst []int, from NodeID, p geom.Point, r float64) []int
 }
 
@@ -143,10 +128,8 @@ type Medium struct {
 	// broadcast order.
 	endpoints []Endpoint
 	// locator, when installed, serves broadcast receiver lookups; nil
-	// falls back to the linear scan over endpoints. senderLoc is the
-	// same locator when it also implements SenderLocator.
-	locator   Locator
-	senderLoc SenderLocator
+	// falls back to the linear scan over endpoints.
+	locator Locator
 	// scratch is the reusable receiver-ID buffer for locator broadcasts;
 	// pool recycles the deferred-delivery slots of the positive-bandwidth
 	// path so in-flight messages do not allocate per hop.
@@ -200,11 +183,10 @@ func (m *Medium) endpoint(id NodeID) Endpoint {
 // UseLocator installs loc as the broadcast receiver source. The caller
 // owns consistency: loc must track exactly the registered endpoints and
 // their current positions (netsim.World maintains this through its
-// spatial index, updating it on every node move). A nil loc reverts to
-// the built-in scan over all registered endpoints.
+// neighbor rows). A nil loc reverts to the built-in scan over all
+// registered endpoints.
 func (m *Medium) UseLocator(loc Locator) {
 	m.locator = loc
-	m.senderLoc, _ = loc.(SenderLocator)
 }
 
 // Stats returns a copy of the activity counters.
@@ -312,16 +294,11 @@ func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any,
 	}
 	origin := sender.Position()
 	if m.locator != nil {
-		// O(k) receiver lookup via the spatial index; ascending-ID order
+		// O(k) receiver lookup via the locator; ascending-ID order
 		// is part of the Locator contract. Detach the scratch buffer while
 		// iterating so a reentrant broadcast cannot clobber it.
-		ids := m.scratch[:0]
+		ids := m.locator.AppendReceivers(m.scratch[:0], from, origin, m.cfg.Range)
 		m.scratch = nil
-		if m.senderLoc != nil {
-			ids = m.senderLoc.AppendReceivers(ids, from, origin, m.cfg.Range)
-		} else {
-			ids = m.locator.AppendInRange(ids, origin, m.cfg.Range)
-		}
 		n := m.reachAll(from, origin, ids, bits, cat, msg, out)
 		m.scratch = ids
 		return n, nil

@@ -391,7 +391,7 @@ func (a *alternateDrops) Drop(from, to NodeID, _, _ float64) bool {
 // scanLocator is a brute-force Locator over a fixed endpoint set.
 type scanLocator []*testNode
 
-func (l scanLocator) AppendInRange(dst []int, p geom.Point, r float64) []int {
+func (l scanLocator) AppendReceivers(dst []int, _ NodeID, p geom.Point, r float64) []int {
 	for id, n := range l {
 		if n.pos.Dist(p) <= r {
 			dst = append(dst, id)
@@ -508,7 +508,7 @@ func TestAppendBroadcastToMatchesAppendBroadcast(t *testing.T) {
 				for _, from := range senders {
 					var err error
 					if resolved {
-						ids := loc.AppendInRange(nil, nodes[from].pos, cfg.Range)
+						ids := loc.AppendReceivers(nil, from, nodes[from].pos, cfg.Range)
 						reached, err = m.AppendBroadcastTo(reached, from, ids, 800, energy.CatControl)
 					} else {
 						reached, err = m.AppendBroadcast(reached, from, 800, energy.CatControl)
@@ -624,7 +624,7 @@ func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
 					case located:
 						reached, err = m.AppendBroadcast(nil, from, 800, sc.cat)
 					default:
-						ids := loc.AppendInRange(nil, positions[from], cfg.Range)
+						ids := loc.AppendReceivers(nil, from, positions[from], cfg.Range)
 						if path == senderUnlisted {
 							ids = slices.DeleteFunc(ids, func(id NodeID) bool { return id == from })
 						}

@@ -1,13 +1,12 @@
-// Package spatial provides the simulator's neighbor indexes: dynamic
-// planar point sets answering "which nodes lie within radius r of point
-// p?". The uniform Grid answers in O(k) for k reported neighbors by
-// bucketing points into radio-range-sized cells, replacing the O(n)
-// scans that capped the simulator at paper scale (100 nodes); the Brute
-// index is the straightforward linear scan, kept as the reference
-// implementation for differential testing.
+// Package spatial answers the simulator's question "which nodes lie
+// within radius r of point p?". The uniform Grid answers in O(k) for k
+// reported neighbors by bucketing points into radio-range-sized cells;
+// the Brute index is the straightforward linear scan, kept as the
+// reference implementation for differential testing. RowBuilder answers
+// it for every point of a static set at once, in one cell sweep, with
+// BruteRows as its reference.
 //
-// Both implementations honor the same contract so they are drop-in
-// interchangeable:
+// All of them honor the same contract:
 //
 //   - membership is judged on squared Euclidean distance,
 //     Dist2(p, q) <= r*r, so boundary points at exactly radius r are
@@ -15,13 +14,9 @@
 //   - query results are returned in ascending ID order, preserving the
 //     simulator's determinism guarantee (one seed, one byte-identical
 //     run) regardless of which index serves the query;
-//   - IDs are dense non-negative indices chosen by the caller (netsim
-//     uses node IDs, FromPoints slice positions); the grid indexes its
-//     per-ID state by them.
-//
-// The package is deliberately dependency-free (geom only) so every layer
-// — topo graphs, the radio medium, netsim worlds, experiment drivers —
-// can share one index.
+//   - IDs are dense non-negative indices chosen by the caller (slice
+//     positions for FromPoints and the rows); the grid indexes its per-ID
+//     state by them.
 package spatial
 
 import (
@@ -77,28 +72,24 @@ func (k Kind) Validate() error {
 	}
 }
 
-// New returns an empty index of the given kind. cellSize sizes the grid
-// cells — the query radius the index will mostly serve (the radio range)
-// is the natural choice — and is ignored by the brute-force index. The
-// empty kind builds a grid.
-func New(kind Kind, cellSize float64) (Index, error) {
+// FromPoints builds an index of the given kind (the empty kind builds a
+// grid) over pts, with point i indexed under ID i — the layout of every
+// parallel node slice in the simulator. cellSize sizes the grid cells —
+// the query radius the index will mostly serve is the natural choice —
+// and is ignored by the brute-force index.
+func FromPoints(kind Kind, cellSize float64, pts []geom.Point) (Index, error) {
+	var idx Index
 	switch kind {
-	case "", KindGrid:
-		return NewGrid(cellSize)
 	case KindBrute:
-		return NewBrute(), nil
+		idx = NewBrute()
+	case "", KindGrid:
+		g, err := NewGrid(cellSize)
+		if err != nil {
+			return nil, err
+		}
+		idx = g
 	default:
 		return nil, fmt.Errorf("spatial: unknown index kind %q", string(kind))
-	}
-}
-
-// FromPoints builds an index of the given kind over pts, with point i
-// indexed under ID i — the layout of every parallel node slice in the
-// simulator.
-func FromPoints(kind Kind, cellSize float64, pts []geom.Point) (Index, error) {
-	idx, err := New(kind, cellSize)
-	if err != nil {
-		return nil, err
 	}
 	for i, p := range pts {
 		idx.Insert(i, p)
@@ -123,14 +114,12 @@ type gridEntry struct {
 	pos geom.Point
 }
 
-// gridCell is one slot of the open-addressed cell table. Every insert,
-// removal and position update (in-place ones too) in the cell bumps its
-// epoch, so epoch 0 marks an empty slot. A cell keeps its slot and epoch
-// after it empties, so RegionStamp sums are monotone.
+// gridCell is one slot of the open-addressed cell table. A claimed cell
+// keeps its slot after it empties: the table never deletes.
 type gridCell struct {
-	key    cellKey
-	epoch  uint64
-	bucket []gridEntry
+	key     cellKey
+	claimed bool
+	bucket  []gridEntry
 }
 
 // gridSlot records where an ID currently lives: its cell and its index
@@ -158,9 +147,7 @@ const maxGridID = 1 << 24
 // only ever-occupied cells, so memory stays O(points + occupied cells)
 // however far apart the points are.
 //
-// Grid is not safe for concurrent use; like the rest of the simulator it
-// is single-threaded within one world (parallel sweeps give each trial
-// its own world and therefore its own index).
+// Grid is not safe for concurrent use.
 type Grid struct {
 	cell  float64
 	cells []gridCell // len is zero or a power of two
@@ -192,14 +179,10 @@ func NewGrid(cellSize float64) (*Grid, error) {
 	return &Grid{cell: cellSize}, nil
 }
 
-// CellSize returns the grid's cell side length.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 // Rebuckets returns how many Insert/Move calls relocated an existing id
 // across a cell boundary. Within-cell moves are updated in place and do
-// not count; the ambient-mobility layer relies on this (a node stepping
-// ~1 m against 200 m cells re-buckets roughly once per 200 steps), and
-// the 100k-node scaling work will budget against this counter.
+// not count, so a point stepping ~1 m against 200 m cells re-buckets
+// roughly once per 200 steps.
 func (g *Grid) Rebuckets() uint64 { return g.rebuckets }
 
 // keyOf returns the cell containing p.
@@ -215,28 +198,27 @@ func (g *Grid) lookup(k cellKey) *gridCell {
 	if len(g.cells) == 0 {
 		return nil
 	}
-	if c := g.probe(k); c.epoch != 0 {
+	if c := g.probe(k); c.claimed {
 		return c
 	}
 	return nil
 }
 
-// claim returns k's slot, claiming an empty one if k is new; the caller
-// bumps the epoch before the next table operation. It may rehash, which
-// invalidates every slot pointer taken before it.
+// claim returns k's slot, claiming an empty one if k is new. It may
+// rehash, which invalidates every slot pointer taken before it.
 func (g *Grid) claim(k cellKey) *gridCell {
 	if 2*(g.used+1) > len(g.cells) {
 		old := g.cells
 		g.cells = make([]gridCell, max(16, 2*len(old)))
 		for _, c := range old {
-			if c.epoch != 0 {
+			if c.claimed {
 				*g.probe(c.key) = c
 			}
 		}
 	}
 	c := g.probe(k)
-	if c.epoch == 0 {
-		c.key = k
+	if !c.claimed {
+		c.key, c.claimed = k, true
 		g.used++
 	}
 	return c
@@ -247,7 +229,7 @@ func (g *Grid) claim(k cellKey) *gridCell {
 func (g *Grid) probe(k cellKey) *gridCell {
 	mask := uint64(len(g.cells) - 1)
 	i := k.hash() & mask
-	for g.cells[i].epoch != 0 && g.cells[i].key != k {
+	for g.cells[i].claimed && g.cells[i].key != k {
 		i = (i + 1) & mask
 	}
 	return &g.cells[i]
@@ -265,13 +247,10 @@ func (g *Grid) Insert(id int, p geom.Point) {
 	slot := &g.where[id]
 	if slot.in && slot.key == k {
 		// Same cell: update the bucketed position in place.
-		c := g.lookup(k)
-		c.epoch++
-		c.bucket[slot.idx].pos = p
+		g.lookup(k).bucket[slot.idx].pos = p
 		return
 	}
 	c := g.claim(k)
-	c.epoch++
 	if slot.in {
 		g.rebuckets++
 		g.unbucket(*slot)
@@ -296,13 +275,12 @@ func (g *Grid) Remove(id int) {
 	g.n--
 }
 
-// unbucket bumps the epoch of slot's cell and removes the entry at slot
-// from its bucket (swap-delete; queries sort their results). The
-// swapped-in entry's slot index is patched so where stays consistent,
-// and an emptied bucket is released.
+// unbucket removes the entry at slot from its cell's bucket
+// (swap-delete; queries sort their results). The swapped-in entry's slot
+// index is patched so where stays consistent, and an emptied bucket is
+// released.
 func (g *Grid) unbucket(slot gridSlot) {
 	c := g.lookup(slot.key)
-	c.epoch++
 	last := len(c.bucket) - 1
 	if int(slot.idx) != last {
 		moved := c.bucket[last]
@@ -333,45 +311,23 @@ func (g *Grid) InRange(p geom.Point, r float64) []int {
 	return g.AppendInRange(nil, p, r)
 }
 
-// span returns the cell rectangle a query at (p, r) visits: the query
-// disk's bounding box clamped to the occupied-cell bounds. ok is false
-// for a negative radius or an empty grid.
-func (g *Grid) span(p geom.Point, r float64) (lo, hi cellKey, ok bool) {
-	if r < 0 || !g.hasBounds {
-		return lo, hi, false
-	}
-	lo = g.keyOf(geom.Pt(p.X-r, p.Y-r))
-	hi = g.keyOf(geom.Pt(p.X+r, p.Y+r))
-	lo = cellKey{cx: max(lo.cx, g.minC.cx), cy: max(lo.cy, g.minC.cy)}
-	hi = cellKey{cx: min(hi.cx, g.maxC.cx), cy: min(hi.cy, g.maxC.cy)}
-	return lo, hi, true
-}
-
 // AppendInRange implements Index.
 func (g *Grid) AppendInRange(dst []int, p geom.Point, r float64) []int {
-	dst, _ = g.AppendInRangeStamp(dst, p, r)
-	return dst
-}
-
-// AppendInRangeStamp is AppendInRange that also returns RegionStamp(p, r),
-// taken in the same pass over the visited cells: a caller that caches the
-// result and revalidates it by stamp pays one cell walk per refresh
-// instead of two.
-func (g *Grid) AppendInRangeStamp(dst []int, p geom.Point, r float64) ([]int, uint64) {
-	lo, hi, ok := g.span(p, r)
-	if !ok {
-		return dst, 0
+	if r < 0 || !g.hasBounds {
+		return dst
 	}
+	// Visit the query disk's bounding box, clamped to the occupied cells.
+	lo, hi := g.keyOf(geom.Pt(p.X-r, p.Y-r)), g.keyOf(geom.Pt(p.X+r, p.Y+r))
+	lo = cellKey{cx: max(lo.cx, g.minC.cx), cy: max(lo.cy, g.minC.cy)}
+	hi = cellKey{cx: min(hi.cx, g.maxC.cx), cy: min(hi.cy, g.maxC.cy)}
 	r2 := r * r
 	start := len(dst)
-	var stamp uint64
 	for cx := lo.cx; cx <= hi.cx; cx++ {
 		for cy := lo.cy; cy <= hi.cy; cy++ {
 			c := g.lookup(cellKey{cx: cx, cy: cy})
 			if c == nil {
 				continue
 			}
-			stamp += c.epoch
 			for _, e := range c.bucket {
 				if e.pos.Dist2(p) <= r2 {
 					dst = append(dst, e.id)
@@ -380,33 +336,7 @@ func (g *Grid) AppendInRangeStamp(dst []int, p geom.Point, r float64) ([]int, ui
 		}
 	}
 	sort.Ints(dst[start:])
-	return dst, stamp
-}
-
-// RegionStamp returns a monotone fingerprint of the cells a range query
-// at (p, r) would visit: the sum of their modification epochs, clamped to
-// the occupied-cell bounds exactly like AppendInRange. Any insert,
-// removal, or position change (including an in-place same-cell update)
-// of a point inside those cells strictly increases the stamp, and no
-// point within distance r of p can live outside them, so a cached
-// InRange(p, r) result is still exact whenever its stamp is unchanged —
-// provided p's own cell is unchanged too, since the visited rectangle is
-// derived from p. netsim's lazy HELLO receiver snapshots revalidate on
-// this instead of re-running the query every beacon round.
-func (g *Grid) RegionStamp(p geom.Point, r float64) uint64 {
-	lo, hi, ok := g.span(p, r)
-	if !ok {
-		return 0
-	}
-	var sum uint64
-	for cx := lo.cx; cx <= hi.cx; cx++ {
-		for cy := lo.cy; cy <= hi.cy; cy++ {
-			if c := g.lookup(cellKey{cx: cx, cy: cy}); c != nil {
-				sum += c.epoch
-			}
-		}
-	}
-	return sum
+	return dst
 }
 
 // Brute is the exhaustive-scan Index: every query walks every indexed

@@ -115,11 +115,15 @@ func PlaceArc(n int, a, b geom.Point, height float64) []geom.Point {
 // Neighbor queries are served by a spatial index — a uniform grid with
 // radio-range-sized cells by default, so traversals cost O(k) per node
 // visited instead of O(n) — with the brute-force scan available via
-// NewGraphIndexed as the reference implementation.
+// NewGraphIndexed as the reference implementation. A graph built by
+// NewRowGraph instead holds every node's neighbors as precomputed rows.
 type Graph struct {
 	pos    []geom.Point
 	radius float64
 	idx    spatial.Index
+	// off and adj, set by NewRowGraph, hold node i's neighbors in
+	// adj[off[i]:off[i+1]]; idx is then nil.
+	off, adj []NodeID
 }
 
 // NewGraph returns a unit-disk graph over the given positions with the
@@ -143,6 +147,21 @@ func NewGraphIndexed(pos []geom.Point, radius float64, kind spatial.Kind) (*Grap
 	return &Graph{pos: pos, radius: radius, idx: idx}, nil
 }
 
+// NewRowGraph returns a unit-disk graph over pos whose neighbors are
+// given as rows: node i's neighbors are adj[off[i]:off[i+1]], which must
+// list, in ascending ID order, exactly the other nodes within radius of
+// i (the rows netsim keeps for its HELLO rounds, filtered to the radio
+// range). The graph keeps pos, off and adj without copying.
+func NewRowGraph(pos []geom.Point, radius float64, off, adj []NodeID) (*Graph, error) {
+	if radius <= 0 {
+		return nil, fmt.Errorf("topo: non-positive radius %v", radius)
+	}
+	if len(off) != len(pos)+1 || off[len(pos)] != len(adj) {
+		return nil, fmt.Errorf("topo: %d row offsets over %d entries for %d nodes", len(off), len(adj), len(pos))
+	}
+	return &Graph{pos: pos, radius: radius, off: off, adj: adj}, nil
+}
+
 // Len returns the number of nodes.
 func (g *Graph) Len() int { return len(g.pos) }
 
@@ -162,8 +181,12 @@ func (g *Graph) Connected(i, j NodeID) bool {
 }
 
 // Neighbors returns the IDs of all nodes within range of i, in ascending
-// ID order (deterministic).
+// ID order (deterministic). A row graph returns its row itself, capped so
+// an append cannot write into the next row; callers must not modify it.
 func (g *Graph) Neighbors(i NodeID) []NodeID {
+	if g.idx == nil {
+		return g.adj[g.off[i]:g.off[i+1]:g.off[i+1]]
+	}
 	return g.AppendNeighbors(nil, i)
 }
 
@@ -171,6 +194,9 @@ func (g *Graph) Neighbors(i NodeID) []NodeID {
 // itself) to dst and returns the extended slice. Traversals reuse one
 // buffer through this to stay allocation-light on large graphs.
 func (g *Graph) AppendNeighbors(dst []NodeID, i NodeID) []NodeID {
+	if g.idx == nil {
+		return append(dst, g.Neighbors(i)...)
+	}
 	start := len(dst)
 	dst = g.idx.AppendInRange(dst, g.pos[i], g.radius)
 	// Drop i itself (a node is not its own neighbor), preserving order.
@@ -348,10 +374,7 @@ func (g *Graph) GreedyPath(src, dst NodeID) ([]NodeID, error) {
 func (g *Graph) GreedyNext(cur NodeID, target geom.Point) (NodeID, error) {
 	best := -1
 	bestD := g.pos[cur].Dist2(target)
-	for _, nb := range g.idx.InRange(g.pos[cur], g.radius) {
-		if nb == cur {
-			continue
-		}
+	for _, nb := range g.Neighbors(cur) {
 		if d := g.pos[nb].Dist2(target); d < bestD {
 			bestD = d
 			best = nb

@@ -3,9 +3,12 @@ package topo
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/spatial"
 	"repro/internal/stats"
 )
 
@@ -360,5 +363,91 @@ func TestUniformFieldDegreeMatchesPaper(t *testing.T) {
 	mean := stats.Mean(degrees)
 	if mean < 9 || mean > 14 {
 		t.Errorf("average degree = %v, want ≈ 10-13 per the paper's setup", mean)
+	}
+}
+
+// rowGraph builds the row graph of pos at radius r from the spatial row
+// builder, as netsim does from its neighbour rows.
+func rowGraph(t *testing.T, pos []geom.Point, r float64) *Graph {
+	t.Helper()
+	var b spatial.RowBuilder
+	off32, ids32 := b.Rows(pos, r)
+	off, adj := make([]NodeID, len(off32)), make([]NodeID, len(ids32))
+	for i, v := range off32 {
+		off[i] = int(v)
+	}
+	for i, v := range ids32 {
+		adj[i] = int(v)
+	}
+	g, err := NewRowGraph(pos, r, off, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestRowGraphMatchesIndexed is the differential test of the row graph:
+// over random placements, it and the grid- and brute-backed graphs agree
+// on every node's Neighbors and on HopPath and GreedyPath between every
+// pair of a sample of nodes. A row's Neighbors is the row itself, so it
+// must not allocate, and an append to it must not spill into the next
+// row.
+func TestRowGraphMatchesIndexed(t *testing.T) {
+	src := stats.NewSource(31)
+	for trial := 0; trial < 6; trial++ {
+		n := 20 + 40*trial
+		pos := PlaceUniform(src, n, 800, 800)
+		const r = 200
+		rows := rowGraph(t, pos, r)
+		for _, kind := range []spatial.Kind{spatial.KindGrid, spatial.KindBrute} {
+			ref, err := NewGraphIndexed(pos, r, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if got, want := rows.Neighbors(i), ref.Neighbors(i); !slices.Equal(got, want) {
+					t.Fatalf("trial %d %s: Neighbors(%d) = %v, want %v", trial, kind, i, got, want)
+				}
+			}
+			for a := 0; a < n; a += 7 {
+				for b := 0; b < n; b += 3 {
+					gp, gerr := rows.HopPath(a, b)
+					wp, werr := ref.HopPath(a, b)
+					if !reflect.DeepEqual(gp, wp) || (gerr == nil) != (werr == nil) {
+						t.Fatalf("trial %d %s: HopPath(%d,%d) = %v, %v; want %v, %v", trial, kind, a, b, gp, gerr, wp, werr)
+					}
+					gp, gerr = rows.GreedyPath(a, b)
+					wp, werr = ref.GreedyPath(a, b)
+					if !reflect.DeepEqual(gp, wp) || (gerr == nil) != (werr == nil) {
+						t.Fatalf("trial %d %s: GreedyPath(%d,%d) = %v, %v; want %v, %v", trial, kind, a, b, gp, gerr, wp, werr)
+					}
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = rows.Neighbors(n / 2) }); allocs != 0 {
+			t.Errorf("row Neighbors allocated %.0f times", allocs)
+		}
+		if n > 1 {
+			row := rows.Neighbors(0)
+			next := append([]NodeID(nil), rows.Neighbors(1)...)
+			_ = append(row, -1)
+			if !slices.Equal(rows.Neighbors(1), next) {
+				t.Fatalf("appending to row 0 clobbered row 1: %v, was %v", rows.Neighbors(1), next)
+			}
+		}
+	}
+}
+
+// TestNewRowGraphErrors checks the row graph's argument validation.
+func TestNewRowGraphErrors(t *testing.T) {
+	pos := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
+	if _, err := NewRowGraph(pos, 0, []NodeID{0, 1, 2}, []NodeID{1, 0}); err == nil {
+		t.Error("accepted a zero radius")
+	}
+	if _, err := NewRowGraph(pos, 5, []NodeID{0, 1}, []NodeID{1}); err == nil {
+		t.Error("accepted too few row offsets")
+	}
+	if _, err := NewRowGraph(pos, 5, []NodeID{0, 1, 3}, []NodeID{1, 0}); err == nil {
+		t.Error("accepted offsets past the entries")
 	}
 }
