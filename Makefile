@@ -40,7 +40,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzScenarioFingerprint -fuzztime=5s ./internal/scenario/
 	$(GO) test -fuzz=FuzzSeedDerive -fuzztime=5s ./internal/sweep/
 	$(GO) test -fuzz=FuzzSchedulerOps -fuzztime=5s ./internal/sim/
-	$(GO) test -fuzz=FuzzLookaheadWindow -fuzztime=5s ./internal/sim/
 	$(GO) test -fuzz=FuzzCheckpointManifest -fuzztime=5s ./internal/dsweep/
 	$(GO) test -fuzz=FuzzGridOps -fuzztime=5s ./internal/spatial/
 	$(GO) test -fuzz=FuzzRows -fuzztime=5s ./internal/spatial/
@@ -51,9 +50,9 @@ fuzz:
 # derivation, the service HTTP surface, and the distributed sweep
 # fabric. Floors sit just below current coverage so any substantial
 # untested addition fails here. The scheduler and world floors guard the
-# parallel-scheduler and struct-of-arrays paths: both are exercised almost
-# entirely by tests (the determinism battery), so a coverage drop there
-# means an unpinned scheduling path.
+# event queue and the struct-of-arrays and data-parallel round paths:
+# they are exercised almost entirely by tests (the determinism battery),
+# so a coverage drop there means an unpinned path.
 COVER_FLOORS = repro/internal/sweep:88 repro/internal/serve:83 repro/internal/dsweep:80 \
 	repro/internal/sim:97 repro/internal/netsim:82
 
@@ -81,9 +80,8 @@ GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|Benchmark
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set
-# plus a single sample of the headline 100k-node rung (serial and
-# 8-shard), which is too slow for count=3 but must stay pinned in the
-# baseline — benchgate fails on baseline entries missing from a run, so
+# plus a single sample of the headline 100k-node rung, which is too slow
+# for count=3 but must stay pinned in the baseline — benchgate fails on baseline entries missing from a run, so
 # every gate invocation reruns it once.
 define GATE_BENCH_RUN
 ( $(GO) test $(GATE_FLAGS) -bench '$(GATED_BENCH)' -benchtime $(1) . ./internal/sim/ ./internal/serve/ ./internal/netsim/ ./internal/spatial/ \
@@ -181,16 +179,15 @@ motion:
 	$(GO) run -race ./cmd/imobif-sim -nodes 40 -field 800 -flow-kb 64 \
 		-motion rpgm -motion-groups 4 -motion-radius 60 -motion-seed 5 -seed 1
 
-# parallel runs the cross-scheduler determinism battery: every golden
-# scenario (zero-fault, faulty, each ambient-motion model, each registered
-# strategy) serial versus the conservative-lookahead scheduler at shards
-# {1,2,8} must produce byte-identical results, HELLO rounds split across
-# {1,2,3,8} round workers must match the per-message round, the
-# stale-neighbor budget contracts must hold, and the parallel paths —
-# including a 2000-node world with forced round workers — must be
-# race-clean with real worker counts.
+# parallel runs the cross-worker determinism battery: the faulty scene,
+# each ambient-motion model and each registered strategy must produce
+# byte-identical results with HELLO rounds on the default split and
+# forced onto two round workers, rounds split across {1,2,3,8} workers
+# must match the per-message round, and the data-parallel rounds —
+# drifting worlds and a 2000-node world with forced round workers — must
+# be race-clean with real worker counts.
 parallel:
 	$(GO) test -run 'TestDeterminism|TestScaleWorldSmoke' ./internal/netsim/
-	$(GO) test -race -run 'TestDeterminismRaceParallelShards|TestScaleWorldSmoke' ./internal/netsim/
+	$(GO) test -race -run 'TestDeterminismRaceRoundWorkers|TestScaleWorldSmoke' ./internal/netsim/
 
 ci: vet fmt doclint build test race fuzz cover smoke serve sweep motion strategies parallel observability benchgate-quick

@@ -502,7 +502,7 @@ func runAblations(opts runOpts) error {
 	return nil
 }
 
-// runScaling measures the nodes × shards throughput table (the scaling
+// runScaling measures the nodes × procs throughput table (the scaling
 // extension, EXPERIMENTS.md "Scaling to 100k"). -nodes caps the rungs so
 // quick runs can skip the 100k row.
 func runScaling(opts runOpts) error {
@@ -524,20 +524,20 @@ func runScaling(opts runOpts) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("=== Extension: scaling — wall-clock throughput across nodes × shards (degree %.0f, horizon %.0fs) ===\n",
+	fmt.Printf("=== Extension: scaling — wall-clock throughput across nodes × procs (degree %.0f, horizon %.0fs) ===\n",
 		p.TargetDegree, float64(p.Horizon))
-	fmt.Println("(shards 0 = serial scheduler; node-sim/s = simulated node-seconds per wall second)")
+	fmt.Println("(procs = GOMAXPROCS, HELLO rounds split over min(procs, 8) workers; node-sim/s = simulated node-seconds per wall second)")
 	fmt.Printf("%-9s %-8s %-8s %-10s %-13s %-10s\n",
-		"nodes", "shards", "flows", "wall(s)", "node-sim/s", "completed")
+		"nodes", "procs", "flows", "wall(s)", "node-sim/s", "completed")
 	var rows [][]string
 	for _, c := range res.Cells {
 		fmt.Printf("%-9d %-8d %-8d %-10.2f %-13.3g %-10.2f\n",
-			c.Nodes, c.Shards, c.Flows, c.WallSeconds, c.NodeSimPerWall, c.Completed)
+			c.Nodes, c.Procs, c.Flows, c.WallSeconds, c.NodeSimPerWall, c.Completed)
 		rows = append(rows, []string{
-			strconv.Itoa(c.Nodes), strconv.Itoa(c.Shards), strconv.Itoa(c.Flows),
+			strconv.Itoa(c.Nodes), strconv.Itoa(c.Procs), strconv.Itoa(c.Flows),
 			f2s(c.WallSeconds), f2s(c.NodeSimPerWall), f2s(c.Completed), f2s(c.TotalJ),
 		})
 	}
 	return writeCSV(opts.csvDir, "scaling.csv",
-		[]string{"nodes", "shards", "flows", "wall_s", "node_sim_per_wall", "completed", "total_j"}, rows)
+		[]string{"nodes", "procs", "flows", "wall_s", "node_sim_per_wall", "completed", "total_j"}, rows)
 }

@@ -50,8 +50,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		trials      = flag.Int("trials", 1, "Monte-Carlo trials; >1 runs a batch over per-trial derived seeds and prints aggregates")
 		concurrency = flag.Int("concurrency", 0, "parallel workers for -trials batches (0 = all CPUs, 1 = serial; results are identical either way)")
-		parallel    = flag.Bool("parallel", false, "run each world on the conservative-lookahead windowed scheduler (byte-identical to serial; parallelizes nothing)")
-		shards      = flag.Int("shards", 0, "accepted for compatibility and ignored")
 		compare     = flag.Bool("compare", false, "also run the no-mobility baseline and print the energy ratio")
 		deaths      = flag.Bool("stop-on-death", false, "stop at the first node death (lifetime runs)")
 		energyLo    = flag.Float64("energy-lo", 5000, "min initial node energy, J")
@@ -122,7 +120,6 @@ func main() {
 				compare: *compare, deaths: *deaths,
 				energyLo: *energyLo, energyHi: *energyHi,
 				index: *index, faults: fo, motion: mo,
-				parallel: *parallel, shards: *shards,
 			},
 			trials: *trials, concurrency: *concurrency, progress: *progress,
 		})
@@ -133,7 +130,6 @@ func main() {
 			compare: *compare, deaths: *deaths,
 			energyLo: *energyLo, energyHi: *energyHi,
 			index: *index, faults: fo, motion: mo,
-			parallel: *parallel, shards: *shards,
 			traceOut: *traceOut, metricsOut: *metricsOut, sampleInterval: *sampleInterval,
 		})
 	}
@@ -232,8 +228,6 @@ type runOpts struct {
 	energyLo, energyHi float64
 	faults             faultOpts
 	motion             motionOpts
-	parallel           bool
-	shards             int
 
 	// Observability outputs (single-run mode): JSONL event trace and
 	// sampled run metrics. Empty paths disable them.
@@ -260,8 +254,6 @@ func (o runOpts) config() (imobif.Config, error) {
 	cfg.StopOnFirstDeath = o.deaths
 	cfg.Faults = o.faults.config()
 	cfg.Motion = o.motion.config()
-	cfg.Parallel = o.parallel
-	cfg.Shards = o.shards
 	return cfg, cfg.Validate()
 }
 

@@ -72,6 +72,9 @@
 // over radio-range-sized cells (O(k) per node), so node counts far
 // beyond the paper's 100 stay tractable; Config.NeighborIndex selects
 // the all-pairs brute-force reference instead, which produces
-// bit-identical results. See ARCHITECTURE.md for the package map and dataflow, and
-// EXPERIMENTS.md for measured figures and scaling numbers.
+// bit-identical results. A simulation runs on one serial event loop;
+// HELLO rounds of 1024 or more senders split across min(GOMAXPROCS, 8)
+// workers, with results identical at any worker count. See
+// ARCHITECTURE.md for the package map and dataflow, and EXPERIMENTS.md
+// for measured figures and scaling numbers.
 package imobif

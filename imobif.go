@@ -144,15 +144,6 @@ type Config struct {
 	// arms no movement events, bit-identical to a build without the
 	// layer.
 	Motion *MotionConfig
-	// Parallel runs the simulation on the conservative-lookahead
-	// windowed scheduler, which fires events in exact serial order —
-	// results are byte-identical to the default serial scheduler. It
-	// parallelizes nothing and is kept for compatibility; large HELLO
-	// rounds use the host's cores either way. Off by default.
-	Parallel bool
-	// Shards is accepted for compatibility and ignored; negative values
-	// are rejected.
-	Shards int
 }
 
 // DefaultConfig returns the paper's reconstructed evaluation parameters
@@ -250,8 +241,6 @@ func (c Config) netsim() (netsim.Config, error) {
 	cfg.NeighborIndex = spatial.Kind(c.NeighborIndex)
 	cfg.Faults = c.Faults.fault()
 	cfg.Motion = c.Motion.motion(c.FieldWidth, c.FieldHeight)
-	cfg.Parallel = c.Parallel
-	cfg.Shards = c.Shards
 	return cfg, nil
 }
 

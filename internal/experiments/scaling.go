@@ -1,23 +1,26 @@
 package experiments
 
 // The scaling experiment: wall-clock throughput of the full world across
-// node-count rungs and scheduler configurations. The paper's evaluation
-// stops at tens of nodes; the struct-of-arrays store, grid index, and
-// conservative-lookahead parallel scheduler exist to push the same
-// simulation to 100k nodes, and this driver measures what that buys — a
-// nodes × shards table of wall-clock seconds and simulated node-seconds
-// per wall second (EXPERIMENTS.md "Scaling to 100k"). The scenario mirrors
-// netsim's BenchmarkWorld100k builder so the figure and the benchgate pin
-// the same workload.
+// node-count rungs and core counts. The paper's evaluation stops at tens
+// of nodes; the struct-of-arrays store, Verlet neighbor rows, and
+// data-parallel HELLO rounds exist to push the same simulation to 100k
+// nodes, and this driver measures what that buys — a nodes × procs table
+// of wall-clock seconds and simulated node-seconds per wall second
+// (EXPERIMENTS.md "Scaling to 100k"). The procs axis is the cell's
+// GOMAXPROCS, which sets the HELLO round worker count (min(GOMAXPROCS,
+// 8), read when the world is built) and the cores those workers may use.
+// The scenario mirrors netsim's BenchmarkWorld100k builder so the figure
+// and the benchgate pin the same workload.
 //
 // Unlike the other drivers this one measures wall time, so its numbers
 // are machine-dependent by design; the *simulation results* per cell stay
-// deterministic, and the serial and sharded variants of a rung are
-// asserted to agree on them.
+// deterministic, and every procs setting of a rung is asserted to agree
+// on them.
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"repro/internal/motion"
@@ -30,15 +33,14 @@ import (
 
 // ScalingParams configures the scaling sweep.
 type ScalingParams struct {
-	// Nodes lists the node-count rungs, each run once per shard setting.
+	// Nodes lists the node-count rungs, each run once per procs setting.
 	Nodes []int
 	// FlowsPerK is the flow count per thousand nodes (rounded up to at
 	// least one), keeping offered load proportional to network size.
 	FlowsPerK int
-	// Shards lists the scheduler configurations: 0 runs the serial
-	// scheduler, values >= 2 run the parallel scheduler with that many
-	// worker goroutines.
-	Shards []int
+	// Procs lists the GOMAXPROCS settings each rung runs under; the
+	// world's HELLO rounds split across min(procs, 8) workers.
+	Procs []int
 	// Seed seeds node placement.
 	Seed int64
 	// TargetDegree is the expected radio-neighbor count the field side is
@@ -49,25 +51,25 @@ type ScalingParams struct {
 }
 
 // ParamsScaling returns the default sweep: the benchmark rungs up to 100k
-// nodes, serial versus 2- and 8-shard parallel runs, ~15 expected radio
-// neighbors, Gauss-Markov ambient drift.
+// nodes, one versus two cores, ~15 expected radio neighbors, Gauss-Markov
+// ambient drift.
 func ParamsScaling() ScalingParams {
 	return ScalingParams{
 		Nodes:        []int{5000, 20000, 100000},
 		FlowsPerK:    10,
-		Shards:       []int{0, 2, 8},
+		Procs:        []int{1, 2},
 		Seed:         9001,
 		TargetDegree: 15,
 		Horizon:      1e5,
 	}
 }
 
-// ScalingCell is one (nodes × shards) measurement.
+// ScalingCell is one (nodes × procs) measurement.
 type ScalingCell struct {
 	Nodes int
 	Flows int
-	// Shards is 0 for the serial scheduler, the worker count otherwise.
-	Shards int
+	// Procs is the GOMAXPROCS setting the cell was built and run under.
+	Procs int
 	// WallSeconds is the wall-clock duration of the Run call (world
 	// construction and flow planning are excluded, as in the benchmark).
 	WallSeconds float64
@@ -81,23 +83,28 @@ type ScalingCell struct {
 	// idle world.
 	Completed float64
 	// TotalJ is the network-wide energy spend, asserted identical across
-	// the shard settings of a rung (the determinism cross-check).
+	// the procs settings of a rung (the determinism cross-check).
 	TotalJ float64
 }
 
-// ScalingResult is the full nodes × shards table.
+// ScalingResult is the full nodes × procs table.
 type ScalingResult struct {
 	Params ScalingParams
 	Cells  []ScalingCell
 }
 
-// RunScaling measures every rung under every shard setting, serially (the
+// RunScaling measures every rung under every procs setting, serially (the
 // cells time wall clock, so they must not compete for cores). Within a
-// rung, all shard settings must produce identical simulation results;
+// rung, all procs settings must produce identical simulation results;
 // divergence is an error, not a data point.
 func RunScaling(p ScalingParams) (*ScalingResult, error) {
-	if len(p.Nodes) == 0 || len(p.Shards) == 0 {
-		return nil, fmt.Errorf("experiments: empty scaling sweep %v × %v", p.Nodes, p.Shards)
+	if len(p.Nodes) == 0 || len(p.Procs) == 0 {
+		return nil, fmt.Errorf("experiments: empty scaling sweep %v × %v", p.Nodes, p.Procs)
+	}
+	for _, procs := range p.Procs {
+		if procs < 1 {
+			return nil, fmt.Errorf("experiments: scaling procs %d, want >= 1", procs)
+		}
 	}
 	res := &ScalingResult{Params: p}
 	for _, n := range p.Nodes {
@@ -106,42 +113,17 @@ func RunScaling(p ScalingParams) (*ScalingResult, error) {
 			flows = 1
 		}
 		var ref *ScalingCell
-		for _, shards := range p.Shards {
-			w, err := buildScalingWorld(p, n, flows, shards)
+		for _, procs := range p.Procs {
+			cell, err := runScalingCell(p, n, flows, procs)
 			if err != nil {
 				return nil, err
-			}
-			start := time.Now()
-			r, err := w.Run()
-			if err != nil {
-				return nil, err
-			}
-			wall := time.Since(start).Seconds()
-			completed := 0
-			for _, fo := range r.Flows {
-				if fo.Completed {
-					completed++
-				}
-			}
-			cell := ScalingCell{
-				Nodes:       n,
-				Flows:       len(r.Flows),
-				Shards:      shards,
-				WallSeconds: wall,
-				SimSeconds:  float64(r.Duration),
-				Completed:   float64(completed) / float64(len(r.Flows)),
-				TotalJ:      r.Energy.Total(),
-			}
-			if wall > 0 {
-				cell.NodeSimPerWall = float64(n) * cell.SimSeconds / wall
 			}
 			if ref == nil {
-				c := cell
-				ref = &c
+				ref = &cell
 			} else if cell.TotalJ != ref.TotalJ || cell.SimSeconds != ref.SimSeconds {
 				return nil, fmt.Errorf(
-					"experiments: scaling rung n=%d diverged across schedulers: shards=%d got (%.6g J, %v s), shards=%d got (%.6g J, %v s)",
-					n, cell.Shards, cell.TotalJ, cell.SimSeconds, ref.Shards, ref.TotalJ, ref.SimSeconds)
+					"experiments: scaling rung n=%d diverged across procs: procs=%d got (%.6g J, %v s), procs=%d got (%.6g J, %v s)",
+					n, cell.Procs, cell.TotalJ, cell.SimSeconds, ref.Procs, ref.TotalJ, ref.SimSeconds)
 			}
 			res.Cells = append(res.Cells, cell)
 		}
@@ -149,11 +131,47 @@ func RunScaling(p ScalingParams) (*ScalingResult, error) {
 	return res, nil
 }
 
+// runScalingCell builds and runs one rung under GOMAXPROCS = procs,
+// restoring the previous setting when it returns. The world reads the
+// setting at construction to size its HELLO round workers.
+func runScalingCell(p ScalingParams, n, flows, procs int) (ScalingCell, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	w, err := buildScalingWorld(p, n, flows)
+	if err != nil {
+		return ScalingCell{}, err
+	}
+	start := time.Now()
+	r, err := w.Run()
+	if err != nil {
+		return ScalingCell{}, err
+	}
+	wall := time.Since(start).Seconds()
+	completed := 0
+	for _, fo := range r.Flows {
+		if fo.Completed {
+			completed++
+		}
+	}
+	cell := ScalingCell{
+		Nodes:       n,
+		Flows:       len(r.Flows),
+		Procs:       procs,
+		WallSeconds: wall,
+		SimSeconds:  float64(r.Duration),
+		Completed:   float64(completed) / float64(len(r.Flows)),
+		TotalJ:      r.Energy.Total(),
+	}
+	if wall > 0 {
+		cell.NodeSimPerWall = float64(n) * cell.SimSeconds / wall
+	}
+	return cell, nil
+}
+
 // buildScalingWorld constructs one rung's world: n nodes placed uniformly
 // at constant density, Gauss-Markov ambient drift, and short multi-hop
 // flows found by bounded BFS from rotating start nodes (linear in n, so
 // setup never dominates the measured run).
-func buildScalingWorld(p ScalingParams, n, flows, shards int) (*netsim.World, error) {
+func buildScalingWorld(p ScalingParams, n, flows int) (*netsim.World, error) {
 	r := netsim.DefaultConfig().Radio.Range
 	side := math.Sqrt(float64(n) * math.Pi * r * r / p.TargetDegree)
 	src := stats.NewSource(p.Seed)
@@ -170,8 +188,6 @@ func buildScalingWorld(p ScalingParams, n, flows, shards int) (*netsim.World, er
 		FieldW: side, FieldH: side,
 		SpeedLo: 0.5, SpeedHi: 1.5,
 	}
-	cfg.Parallel = shards > 0
-	cfg.Shards = shards
 	cfg.Horizon = p.Horizon
 	w, err := netsim.NewWorld(cfg, pts, energies)
 	if err != nil {

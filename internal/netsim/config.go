@@ -149,18 +149,6 @@ type Config struct {
 	// simulated seconds into Result.Series, plus one sample at t=0 and
 	// one when the run ends. Zero disables sampling.
 	SampleInterval sim.Time
-	// Parallel, when true, runs the world on the conservative-lookahead
-	// windowed scheduler (sim.RunUntilWindowed), which batches events by
-	// lookahead window and fires them in exact (time, seq) order on the
-	// calling goroutine — results stay byte-identical to the serial
-	// scheduler (the cross-scheduler determinism battery pins it). It
-	// parallelizes nothing (see parallel.go); large HELLO rounds use the
-	// host's cores under either scheduler (see hello_round.go). Off by
-	// default.
-	Parallel bool
-	// Shards is accepted for compatibility and ignored; negative is
-	// invalid.
-	Shards int
 }
 
 // DefaultConfig returns the paper-reconstructed parameters (DESIGN.md §1):
@@ -239,9 +227,6 @@ func (c Config) Validate() error {
 	}
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("netsim: negative sample interval %v", c.SampleInterval)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("netsim: negative shard count %d", c.Shards)
 	}
 	return nil
 }

@@ -17,42 +17,26 @@ import (
 	"repro/internal/topo"
 )
 
-// The cross-scheduler determinism battery: every golden scenario the
-// repository pins — zero-fault, faulty, ambient motion, and each
-// registered strategy — must produce byte-identical results under the
-// conservative-lookahead parallel scheduler at every shard count. This is
-// the gate the 100k scaling work rides behind: Parallel is only usable
-// because these tests prove it is not observable in the results.
+// The cross-worker determinism battery: the faulty, ambient-motion and
+// every-strategy scenes must produce byte-identical results whether their
+// HELLO rounds run on the host's default split (which leaves rounds this
+// small on one worker) or on crossSplit, which splits every round and the
+// seeding across two workers. The zero-fault goldens are not repeated
+// here; TestHelloRoundPathsAgree and TestDeterminismHelloRoundWorkers pin
+// split rounds on their own scenes.
 
-var crossShards = []int{1, 2, 8}
+// crossSplit is the forced round split the battery compares against the
+// default one.
+var crossSplit = forcedSplit(2)
 
-// TestDeterminismGoldenCrossScheduler re-runs the canonical golden
-// scenarios with the windowed parallel scheduler and asserts the exact
-// golden constants of the serial seed — not merely serial-vs-parallel
-// agreement, so a bug that shifted both schedulers together would still
-// be caught.
-func TestDeterminismGoldenCrossScheduler(t *testing.T) {
-	golden := map[Mode]uint64{
-		ModeInformed:    goldenInformedFingerprint,
-		ModeCostUnaware: goldenCostUnawareFingerprint,
-	}
-	for mode, want := range golden {
-		for _, shards := range crossShards {
-			got := goldenWorldFingerprint(t, mode, func(cfg *Config) {
-				cfg.Parallel = true
-				cfg.Shards = shards
-			})
-			if got != want {
-				t.Errorf("mode=%v shards=%d: parallel fingerprint %#x, want golden %#x",
-					mode, shards, got, want)
-			}
-		}
-	}
-}
+// everyRound makes every live node beacon every round. The informed-mode
+// scenes below barely move or drain their relays, so without it their
+// rounds would have no senders and only the seeding would split.
+func everyRound(cfg *Config) { cfg.BeaconMoveEps = 0 }
 
 // TestDeterminismFaultyCrossScheduler covers the fault layer: lossy
 // channel, retry/ack transport, crash/recovery schedule, and route
-// repair, serial vs parallel at each shard count.
+// repair, default vs forced two-worker rounds.
 func TestDeterminismFaultyCrossScheduler(t *testing.T) {
 	faulty := func(cfg *Config) {
 		cfg.Faults = &fault.Config{
@@ -62,21 +46,20 @@ func TestDeterminismFaultyCrossScheduler(t *testing.T) {
 			Crashes:     []fault.Crash{{Node: 3, At: 40, RecoverAt: 200}},
 		}
 	}
-	want := goldenWorldFingerprint(t, ModeInformed, faulty)
-	for _, shards := range crossShards {
-		got := goldenWorldFingerprint(t, ModeInformed, faulty, func(cfg *Config) {
-			cfg.Parallel = true
-			cfg.Shards = shards
-		})
-		if got != want {
-			t.Errorf("faulty shards=%d: parallel fingerprint %#x, serial %#x", shards, got, want)
-		}
+	want := goldenWorldFingerprint(t, ModeInformed, faulty, everyRound)
+	got, split := splitWorldFingerprint(t, ModeInformed, crossSplit, faulty, everyRound)
+	if split == 0 {
+		t.Fatal("forced split took no split rounds")
+	}
+	if got != want {
+		t.Errorf("faulty: two-worker fingerprint %#x, default %#x", got, want)
 	}
 }
 
-// motionScenario runs one ambient-motion world and returns its Result
-// for whole-struct comparison.
-func motionScenario(t *testing.T, model string, parallel bool, shards int) Result {
+// motionScenario runs one ambient-motion world with its HELLO rounds
+// sized by split and returns its Result, for whole-struct comparison,
+// and the number of rounds that took the data-parallel split.
+func motionScenario(t *testing.T, model string, split roundSplit) (Result, uint64) {
 	t.Helper()
 	src := stats.NewSource(1234)
 	pts := topo.PlaceUniform(src, 48, 700, 700)
@@ -91,9 +74,7 @@ func motionScenario(t *testing.T, model string, parallel bool, shards int) Resul
 		Model: model, Seed: 5, FieldW: 700, FieldH: 700,
 		SpeedLo: 0.5, SpeedHi: 2,
 	}
-	cfg.Parallel = parallel
-	cfg.Shards = shards
-	w, err := NewWorld(cfg, pts, energies)
+	w, err := newWorld(cfg, pts, energies, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,36 +98,38 @@ func motionScenario(t *testing.T, model string, parallel bool, shards int) Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return res, w.splitRounds
 }
 
 // TestDeterminismMotionCrossScheduler drives every ambient-mobility model
-// through the windowed scheduler and requires results identical to the
-// serial run, including the group-mobility model whose members share a
+// through forced two-worker rounds and requires results identical to the
+// default split, including the group-mobility model whose members share a
 // random stream.
 func TestDeterminismMotionCrossScheduler(t *testing.T) {
 	models := []string{motion.ModelRandomWaypoint, motion.ModelGaussMarkov, motion.ModelRPGM}
 	for _, model := range models {
-		want := motionScenario(t, model, false, 0)
-		for _, shards := range crossShards {
-			got := motionScenario(t, model, true, shards)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("model=%s shards=%d: parallel result differs from serial", model, shards)
-			}
+		want, _ := motionScenario(t, model, defaultRoundSplit())
+		got, split := motionScenario(t, model, crossSplit)
+		if split == 0 {
+			t.Fatalf("model=%s: forced split took no split rounds", model)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("model=%s: two-worker result differs from the default split", model)
 		}
 	}
 }
 
 // TestDeterminismStrategiesCrossScheduler runs every registered strategy
-// serial vs parallel. Strategies differ in how relays move and how routes
-// are planned, so together they cover the movement/notification paths the
-// fixed golden scenario reaches only for one strategy.
+// under the default split vs forced two-worker rounds. Strategies differ
+// in how relays move and how routes are planned, so together they cover
+// the movement/notification paths the fixed golden scenario reaches only
+// for one strategy.
 func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 	src := stats.NewSource(77)
 	pts := topo.PlaceUniform(src, 40, 600, 600)
 	energies := make([]float64, len(pts))
 	for i := range energies {
-		energies[i] = src.Uniform(1000, 4000)
+		energies[i] = 500
 	}
 	table, err := energy.NewPowerTable(energy.DefaultTxModel(), 200, 64)
 	if err != nil {
@@ -157,7 +140,7 @@ func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 		Table:    table,
 		Mobility: energy.MobilityModel{K: 0.5},
 	}
-	run := func(t *testing.T, name string, parallel bool, shards int) (Result, bool) {
+	run := func(t *testing.T, name string, split roundSplit) (Result, uint64, bool) {
 		strat, err := mobility.New(name, env, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -167,24 +150,35 @@ func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 		cfg.Strategy = strat
 		cfg.Horizon = 2000
 		cfg.NeighborIndex = spatial.KindGrid
-		cfg.Parallel = parallel
-		cfg.Shards = shards
-		return runScenario(t, cfg, spatial.KindGrid, pts, 0, 1, 8e5)
+		everyRound(&cfg)
+		w, err := newWorld(cfg, pts, energies, split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 1, LengthBits: 8e5}); err != nil {
+			return Result{}, 0, false
+		}
+		res, err := w.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, w.splitRounds, true
 	}
 	for _, name := range mobility.Names() {
 		t.Run(name, func(t *testing.T) {
-			want, ok := run(t, name, false, 0)
+			want, _, ok := run(t, name, defaultRoundSplit())
 			if !ok {
 				t.Skip("placement not routable for this scenario")
 			}
-			for _, shards := range crossShards {
-				got, ok := run(t, name, true, shards)
-				if !ok {
-					t.Fatalf("shards=%d: flow rejected under parallel but not serial", shards)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("strategy=%s shards=%d: parallel result differs from serial", name, shards)
-				}
+			got, split, ok := run(t, name, crossSplit)
+			if !ok {
+				t.Fatal("flow rejected under forced two-worker rounds but not the default split")
+			}
+			if split == 0 {
+				t.Fatal("forced split took no split rounds")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("strategy=%s: two-worker result differs from the default split", name)
 			}
 		})
 	}
@@ -226,7 +220,7 @@ func TestDeterminismNeighborRows(t *testing.T) {
 
 	t.Run("drift-tiny-margin", func(t *testing.T) {
 		run := func(margin float64) (*World, []byte) {
-			w := buildScaleWorld(t, 2000, 20, false, 0)
+			w := buildScaleWorld(t, 2000, 20)
 			// One long flow keeps the world drifting for 30 s.
 			long := w.flows[0].spec
 			long.LengthBits = 30 * w.cfg.PacketBits
@@ -284,15 +278,14 @@ func TestDeterminismNeighborRows(t *testing.T) {
 	})
 }
 
-// TestDeterminismRaceParallelShards exists to run the windowed scheduler
-// with drifting nodes under the race detector (the Makefile race target
-// selects tests by this name).
-func TestDeterminismRaceParallelShards(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			_ = motionScenario(t, motion.ModelRPGM, true, shards)
-			_ = motionScenario(t, motion.ModelGaussMarkov, true, shards)
+// TestDeterminismRaceRoundWorkers runs drifting worlds with every HELLO
+// round split across two and four workers under the race detector (the
+// Makefile race and parallel targets select tests by this name).
+func TestDeterminismRaceRoundWorkers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			motionScenario(t, motion.ModelRPGM, forcedSplit(workers))
+			motionScenario(t, motion.ModelGaussMarkov, forcedSplit(workers))
 		})
 	}
 }

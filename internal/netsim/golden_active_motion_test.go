@@ -17,14 +17,11 @@ import (
 // activeMotionScene names one TestGoldenActiveMotion world: an ambient
 // model, whether drift charges the battery, whether the first death ends
 // the run, and whether the channel is lossy (with retries, a relay crash
-// and recovery, and route repair). parallel selects the windowed
-// scheduler; it is left out of the name, since both schedulers must
-// produce the same run.
+// and recovery, and route repair).
 type activeMotionScene struct {
 	model        string
 	charge, stop bool
 	lossy        bool
-	parallel     bool
 }
 
 func (s activeMotionScene) String() string {
@@ -46,7 +43,6 @@ func runActiveMotionScene(t *testing.T, s activeMotionScene, sink trace.Sink) Re
 	cfg.Horizon = 400
 	cfg.Sink = sink
 	cfg.StopOnFirstDeath = s.stop
-	cfg.Parallel = s.parallel
 	cfg.Motion = &motion.Config{
 		Model: s.model, Seed: 11, FieldW: 600, FieldH: 600,
 		SpeedLo: 0.5, SpeedHi: 2, Radius: 400, ChargeBattery: s.charge,
@@ -143,17 +139,13 @@ var goldenActiveMotion = map[string][2]string{
 // ambient model, with and without battery-charged drift, with and
 // without stop-on-first-death, on a lossless and on a lossy channel with
 // a relay crash, recovery and route repair. Each scene's Result must
-// also be identical with the sink detached (observability invariance),
-// and the serial and windowed schedulers must agree on both digests.
+// also be identical with the sink detached (observability invariance).
 func TestGoldenActiveMotion(t *testing.T) {
 	for _, model := range []string{motion.ModelRandomWaypoint, motion.ModelGaussMarkov, motion.ModelRPGM} {
 		for _, charge := range []bool{false, true} {
 			for _, stop := range []bool{false, true} {
 				for _, lossy := range []bool{false, true} {
-					for _, parallel := range []bool{false, true} {
-						s := activeMotionScene{model: model, charge: charge, stop: stop, lossy: lossy, parallel: parallel}
-						checkActiveMotionScene(t, s)
-					}
+					checkActiveMotionScene(t, activeMotionScene{model: model, charge: charge, stop: stop, lossy: lossy})
 				}
 			}
 		}
@@ -173,11 +165,11 @@ func checkActiveMotionScene(t *testing.T, s activeMotionScene) {
 	}
 	got := [2]string{resultDigest(t, traced), hex.EncodeToString(h.Sum(nil)[:8])}
 	if want := goldenActiveMotion[s.String()]; got != want {
-		t.Errorf("%s parallel=%v: result/trace digests %s/%s, want %s/%s",
-			s, s.parallel, got[0], got[1], want[0], want[1])
+		t.Errorf("%s: result/trace digests %s/%s, want %s/%s",
+			s, got[0], got[1], want[0], want[1])
 		t.Logf("%q: {%q, %q},", s.String(), got[0], got[1])
 	}
 	if bare := resultDigest(t, runActiveMotionScene(t, s, nil)); bare != got[0] {
-		t.Errorf("%s parallel=%v: result digest %s untraced, %s traced", s, s.parallel, bare, got[0])
+		t.Errorf("%s: result digest %s untraced, %s traced", s, bare, got[0])
 	}
 }

@@ -21,6 +21,15 @@ import (
 // test asserts a disabled motion layer hashes identically).
 func goldenWorldFingerprint(t *testing.T, mode Mode, mutate ...func(*Config)) uint64 {
 	t.Helper()
+	fp, _ := splitWorldFingerprint(t, mode, defaultRoundSplit(), mutate...)
+	return fp
+}
+
+// splitWorldFingerprint is goldenWorldFingerprint with the HELLO rounds
+// sized by split; it also returns how many rounds took the data-parallel
+// split.
+func splitWorldFingerprint(t *testing.T, mode Mode, split roundSplit, mutate ...func(*Config)) (uint64, uint64) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Mode = mode
 	tracer := trace.New(1 << 20)
@@ -35,7 +44,7 @@ func goldenWorldFingerprint(t *testing.T, mode Mode, mutate ...func(*Config)) ui
 	for i := range energies {
 		energies[i] = src.Uniform(5000, 10000)
 	}
-	w, err := NewWorld(cfg, pts, energies)
+	w, err := newWorld(cfg, pts, energies, split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +111,7 @@ func goldenWorldFingerprint(t *testing.T, mode Mode, mutate ...func(*Config)) ui
 	for k := trace.KindPacketSent; k <= trace.KindFlowDone; k++ {
 		u64(counts[k])
 	}
-	return h.Sum64()
+	return h.Sum64(), w.splitRounds
 }
 
 // Golden fingerprints of the canonical scenario captured on the pre-fault

@@ -106,8 +106,8 @@ type roundScene struct {
 
 // roundScenes are the scenes both differential tests run: drift with
 // loss, retry, route repair and expiring tables; crashes and recoveries
-// in informed mode, where relays read the tables; the parallel
-// scheduler; an apply threshold low enough that rounds are applied in
+// in informed mode, where relays read the tables; rounds split across two
+// workers; an apply threshold low enough that rounds are applied in
 // several chunks; a neighbor-row margin so tiny that the rows are rebuilt
 // almost every round; and the brute-force row builder.
 func roundScenes() []roundScene {
@@ -126,10 +126,8 @@ func roundScenes() []roundScene {
 				Crashes: []fault.Crash{{Node: 3, At: 20, RecoverAt: 90}, {Node: 17, At: 35}, {Node: 41, At: 5, RecoverAt: 60}},
 			}
 		}, beaconBatchPairs, 0, 0},
-		{"parallel-scheduler", func(cfg *Config) {
+		{"split-2", func(cfg *Config) {
 			cfg.Motion = drift
-			cfg.Parallel = true
-			cfg.Shards = 2
 		}, beaconBatchPairs, 2, 0},
 		{"chunked-apply", func(cfg *Config) {
 			cfg.Motion = drift
@@ -182,7 +180,7 @@ func sameRun(t *testing.T, got, want roundPathRun) {
 // round paths: the same worlds run with batched (two-phase) rounds and
 // with per-message rounds must agree on every table after every round,
 // on the medium counters and on the whole Result, over roundScenes. The
-// parallel-scheduler scene runs its rounds split across two workers.
+// split-2 scene runs its rounds split across two workers.
 func TestHelloRoundPathsAgree(t *testing.T) {
 	for _, sc := range roundScenes() {
 		t.Run(sc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -13,17 +12,18 @@ import (
 )
 
 // The BenchmarkWorld100k family pins the scaling target of the
-// struct-of-arrays + lookahead-scheduler work: a 100k-node, 1000-flow
-// world with ambient mobility must complete in minutes, not hours. The
-// smaller rungs are cheap enough for the benchgate ratchet; the n100k
-// rung runs once per gate invocation (see the Makefile's benchgate
-// targets) so the headline number stays pinned in bench_baseline.txt.
+// struct-of-arrays store and data-parallel HELLO rounds: a 100k-node,
+// 1000-flow world with ambient mobility must complete in minutes, not
+// hours. The smaller rungs are cheap enough for the benchgate ratchet;
+// the n100k rung runs once per gate invocation (see the Makefile's
+// benchgate targets) so the headline number stays pinned in
+// bench_baseline.txt.
 
 // buildScaleWorld places n nodes uniformly at ~15 expected radio
 // neighbors, arms ambient Gauss-Markov drift, and adds `flows` short
 // flows between endpoints a few hops apart (found by bounded BFS, so
 // setup stays linear in n instead of planning cross-field routes).
-func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int) *World {
+func buildScaleWorld(tb testing.TB, nodes, flows int) *World {
 	tb.Helper()
 	const targetDegree = 15
 	side := math.Sqrt(float64(nodes) * math.Pi * 200 * 200 / targetDegree)
@@ -41,8 +41,6 @@ func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int)
 		FieldW: side, FieldH: side,
 		SpeedLo: 0.5, SpeedHi: 1.5,
 	}
-	cfg.Parallel = parallel
-	cfg.Shards = shards
 	cfg.Horizon = 1e5
 	w, err := NewWorld(cfg, pts, energies)
 	if err != nil {
@@ -98,8 +96,8 @@ func buildScaleWorld(tb testing.TB, nodes, flows int, parallel bool, shards int)
 	return w
 }
 
-// BenchmarkWorld100k measures full-world runs across node-count rungs and
-// both schedulers. Setup (placement, seeding, flow planning) is untimed;
+// BenchmarkWorld100k measures full-world runs across node-count rungs.
+// Setup (placement, seeding, flow planning) is untimed;
 // the measured region is the event-loop run itself.
 func BenchmarkWorld100k(b *testing.B) {
 	rungs := []struct {
@@ -110,42 +108,32 @@ func BenchmarkWorld100k(b *testing.B) {
 		{"n20k", 20000, 200},
 		{"n100k", 100000, 1000},
 	}
-	modes := []struct {
-		name     string
-		parallel bool
-		shards   int
-	}{
-		{"serial", false, 0},
-		{"shards8", true, 8},
-	}
 	for _, r := range rungs {
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("%s-%s", r.name, m.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					w := buildScaleWorld(b, r.nodes, r.flows, m.parallel, m.shards)
-					b.StartTimer()
-					res, err := w.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(res.Flows) == 0 {
-						b.Fatal("no flow outcomes")
-					}
+		b.Run(r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w := buildScaleWorld(b, r.nodes, r.flows)
+				b.StartTimer()
+				res, err := w.Run()
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if len(res.Flows) == 0 {
+					b.Fatal("no flow outcomes")
+				}
+			}
+		})
 	}
 }
 
 // TestScaleWorldSmoke keeps the benchmark scenario builder honest in the
 // ordinary test run: a scaled-down rung must complete with most flows
-// delivered, under both schedulers, with identical results — and with
-// its rounds forced onto four round workers in small windows, which the
-// Makefile's parallel target runs under the race detector.
+// delivered, with identical results when its rounds are forced onto four
+// round workers in small windows, which the Makefile's parallel target
+// runs under the race detector.
 func TestScaleWorldSmoke(t *testing.T) {
-	run := func(parallel bool, shards int, split *roundSplit) Result {
-		w := buildScaleWorld(t, 2000, 20, parallel, shards)
+	run := func(split *roundSplit) Result {
+		w := buildScaleWorld(t, 2000, 20)
 		if split != nil {
 			w.round = *split
 		}
@@ -158,22 +146,17 @@ func TestScaleWorldSmoke(t *testing.T) {
 		}
 		return res
 	}
-	serial := run(false, 0, nil)
-	parallel := run(true, 4, nil)
-	if serial.Duration != parallel.Duration || serial.Energy != parallel.Energy {
-		t.Errorf("scale scenario diverged across schedulers: serial %+v vs parallel %+v",
-			serial.Energy, parallel.Energy)
-	}
-	if split := run(false, 0, &roundSplit{workers: 4, minSenders: 1, window: 256}); !reflect.DeepEqual(split, serial) {
-		t.Errorf("scale scenario diverged with forced round workers: %+v vs serial %+v", split.Energy, serial.Energy)
+	def := run(nil)
+	if split := run(&roundSplit{workers: 4, minSenders: 1, window: 256}); !reflect.DeepEqual(split, def) {
+		t.Errorf("scale scenario diverged with forced round workers: %+v vs default %+v", split.Energy, def.Energy)
 	}
 	completed := 0
-	for _, fo := range serial.Flows {
+	for _, fo := range def.Flows {
 		if fo.Completed {
 			completed++
 		}
 	}
-	if completed < len(serial.Flows)/2 {
-		t.Errorf("only %d/%d flows completed in scale scenario", completed, len(serial.Flows))
+	if completed < len(def.Flows)/2 {
+		t.Errorf("only %d/%d flows completed in scale scenario", completed, len(def.Flows))
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// Golden values of the n5k BenchmarkWorld100k scene (buildScaleWorld,
-// serial scheduler), captured from the map-backed neighbor tables and
-// grid. The 100-node goldens never grow a neighbor table past a handful
+// Golden values of the n5k BenchmarkWorld100k scene (buildScaleWorld),
+// captured from the map-backed neighbor tables and grid. The 100-node
+// goldens never grow a neighbor table past a handful
 // of rows or the grid past a few cells; this scene does, so it pins the
 // flat tables and cell table as behavior-neutral at scale. The work
 // counts are exact and cannot flake.
@@ -62,7 +62,7 @@ func tableDigest(w *World) string {
 // multi-core host, forced onto two workers on a single-core one — so the
 // golden constants above cover the split.
 func TestScaleGoldenN5k(t *testing.T) {
-	w := buildScaleWorld(t, 5000, 50, false, 0)
+	w := buildScaleWorld(t, 5000, 50)
 	if w.round.workers < 2 {
 		w.round = roundSplit{workers: 2, minSenders: splitMinSenders, window: splitWindow}
 	}

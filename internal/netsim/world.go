@@ -584,13 +584,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	canceled := false
-	var runErr error
-	if w.cfg.Parallel {
-		runErr = w.sched.RunUntilWindowed(ctx, w.cfg.Horizon, w.lookahead(), nil)
-	} else {
-		runErr = w.sched.RunUntilContext(ctx, w.cfg.Horizon)
-	}
-	if err := runErr; err != nil {
+	if err := w.sched.RunUntilContext(ctx, w.cfg.Horizon); err != nil {
 		switch {
 		case errors.Is(err, sim.ErrStopped):
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

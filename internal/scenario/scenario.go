@@ -85,6 +85,11 @@ type Scenario struct {
 // an unbounded amount of work.
 const MaxTrials = 100000
 
+// MaxNodes bounds a scenario's node count (the repository's scale
+// target), so a small document cannot make Build allocate for an
+// arbitrarily large world.
+const MaxNodes = 100000
+
 // OutputSpec selects optional run outputs for service jobs.
 type OutputSpec struct {
 	// Trace captures the run's event trace as JSONL (the pinned schema of
@@ -340,6 +345,9 @@ func (s *Scenario) Validate() error {
 	n := len(s.Nodes)
 	if s.RandomNodes != nil {
 		n = s.RandomNodes.Count
+	}
+	if n > MaxNodes {
+		return fmt.Errorf("scenario: node count %d exceeds limit %d", n, MaxNodes)
 	}
 	for i, f := range s.Flows {
 		if f.Src < 0 || f.Src >= n || f.Dst < 0 || f.Dst >= n {

@@ -161,6 +161,8 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"bad random spec", `{"random_nodes":{"count":1,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"too many random nodes", `{"random_nodes":{"count":100001,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"garbage", `{`},
 	}
 	for _, tt := range tests {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -297,6 +298,36 @@ func TestFailurePaths(t *testing.T) {
 				t.Errorf("error %q does not mention %q", eb.Error, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestOversizedWorldRejected submits a ~200-byte document asking for a
+// billion random nodes: validation must refuse it with 400 before any job
+// is queued, so the daemon never allocates for the world.
+func TestOversizedWorldRejected(t *testing.T) {
+	var queued atomic.Int64
+	_, ts := newTestServer(t, Config{Workers: 1, Hooks: Hooks{
+		JobQueued: func(string, string) { queued.Add(1) },
+	}})
+	doc := `{"random_nodes":{"count":1000000000,"field_w":1000,"field_h":1000,"energy_lo":1,"energy_hi":2},` +
+		`"flows":[{"src":0,"dst":1,"length_kb":1}]}`
+	resp, body := postScenario(t, ts.URL, doc)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("HTTP %d, want 400: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "exceeds limit") {
+		t.Errorf("error body %s does not name the node limit", body)
+	}
+	if n := queued.Load(); n != 0 {
+		t.Errorf("%d jobs queued for a rejected submission", n)
+	}
+	_, hz := getBody(t, ts.URL, "/healthz")
+	var st Stats
+	if err := json.Unmarshal(hz, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Queued != 0 || st.Running != 0 {
+		t.Errorf("gauges after a rejected submission: %+v", st)
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"context"
-	"errors"
-	"testing"
-)
+import "testing"
 
 // FuzzSchedulerOps decodes a byte stream into scheduler operations and
 // checks the structural invariants the arena + free-list + generation
@@ -139,103 +135,6 @@ func FuzzSchedulerOps(f *testing.F) {
 		for i := range handles {
 			if handles[i].Cancel() {
 				t.Fatalf("stale handle %d canceled a recycled slot", i)
-			}
-		}
-	})
-}
-
-// FuzzLookaheadWindow decodes a byte stream into a mirrored pair of op
-// sequences — schedules, cancels, and runs at byte-derived horizons and
-// lookaheads — applied to a windowed scheduler and to the serial
-// scheduler as reference. Whatever the interleaving, both must agree on
-// fire order, cancel outcomes, Now, Pending, and Fired: the
-// conservative-lookahead window is an execution strategy, never a
-// behavior change.
-func FuzzLookaheadWindow(f *testing.F) {
-	f.Add([]byte{7, 0, 3, 0, 9, 2, 8, 1, 2, 2, 40, 4})
-	f.Add([]byte{0, 0, 0, 0, 2, 255, 1, 1, 0, 12, 2, 3, 200})
-	f.Add([]byte{1, 200, 0, 1, 0, 1, 0, 1, 2, 16, 1, 2, 2, 1, 255})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 256 {
-			return
-		}
-		var seed int64
-		for i, b := range data {
-			if i == 8 {
-				break
-			}
-			seed = seed<<8 | int64(b)
-		}
-		serial := &windowScriptWorld{t: t, s: NewScheduler(), seed: seed}
-		windowed := &windowScriptWorld{t: t, s: NewScheduler(), seed: seed}
-
-		next := func() (byte, bool) {
-			if len(data) == 0 {
-				return 0, false
-			}
-			b := data[0]
-			data = data[1:]
-			return b, true
-		}
-		check := func(ctx string) {
-			t.Helper()
-			if serial.s.Now() != windowed.s.Now() {
-				t.Fatalf("%s: windowed Now = %v, serial %v", ctx, windowed.s.Now(), serial.s.Now())
-			}
-			if serial.s.Pending() != windowed.s.Pending() {
-				t.Fatalf("%s: windowed Pending = %d, serial %d", ctx, windowed.s.Pending(), serial.s.Pending())
-			}
-			if serial.s.Fired() != windowed.s.Fired() {
-				t.Fatalf("%s: windowed Fired = %d, serial %d", ctx, windowed.s.Fired(), serial.s.Fired())
-			}
-		}
-
-		for op := 0; ; op++ {
-			code, ok := next()
-			if !ok {
-				break
-			}
-			val, _ := next()
-			switch code % 3 {
-			case 0: // schedule a scripted event
-				at := serial.s.Now() + Time(val)/8
-				serial.schedule(at, 0)
-				windowed.schedule(at, 0)
-			case 1: // cancel a mirrored handle (pending, fired, or stale)
-				if len(serial.handles) == 0 {
-					continue
-				}
-				target := int(val) % len(serial.handles)
-				gotS := serial.handles[target].Cancel()
-				gotW := windowed.handles[target].Cancel()
-				if gotS != gotW {
-					t.Fatalf("op %d: windowed Cancel(%d) = %v, serial %v", op, target, gotW, gotS)
-				}
-			case 2: // run both to a horizon under a byte-derived lookahead
-				horizon := serial.s.Now() + Time(val)/4
-				lb, _ := next()
-				lookahead := Time(lb)/16 + 1.0/16
-				for {
-					errS := serial.s.RunUntil(horizon)
-					errW := windowed.s.RunUntilWindowed(context.Background(), horizon, lookahead, nil)
-					stoppedS := errors.Is(errS, ErrStopped)
-					if stoppedS != errors.Is(errW, ErrStopped) {
-						t.Fatalf("op %d: windowed err = %v, serial err = %v", op, errW, errS)
-					}
-					if !stoppedS {
-						break
-					}
-				}
-			}
-			check("op")
-		}
-
-		if len(serial.order) != len(windowed.order) {
-			t.Fatalf("windowed ran %d ops, serial %d", len(windowed.order), len(serial.order))
-		}
-		for i := range serial.order {
-			if serial.order[i] != windowed.order[i] {
-				t.Fatalf("op %d: windowed %d, serial %d", i, windowed.order[i], serial.order[i])
 			}
 		}
 	})

@@ -59,15 +59,9 @@ type event struct {
 	// recycled slots fail the check.
 	gen uint32
 	// heap is the slot's position in the scheduler's heap, -1 while the
-	// slot is free or its event has fired, heapWindowed while the event
-	// sits in a collected lookahead window (see RunUntilWindowed).
+	// slot is free or its event has fired.
 	heap int32
 }
-
-// heapWindowed marks a slot whose event has been popped into the current
-// lookahead window but has not fired yet. It is still a live, cancelable
-// event — just no longer heap-resident.
-const heapWindowed int32 = -2
 
 // Handle identifies a scheduled event so it can be canceled. The zero
 // Handle is valid and cancels nothing. Handles are generation-checked:
@@ -96,15 +90,6 @@ func (h Handle) Cancel() bool {
 	if ev.gen != h.gen || ev.heap == -1 {
 		return false
 	}
-	if ev.heap == heapWindowed {
-		// The event sits in the current lookahead window. Release the slot
-		// now — the window fire loop detects the generation change and
-		// skips the entry — so Pending stays exact, matching the serial
-		// scheduler's eager removal.
-		s.windowed--
-		s.release(h.slot)
-		return true
-	}
 	s.heapRemove(int(ev.heap))
 	s.release(h.slot)
 	return true
@@ -123,11 +108,6 @@ type Scheduler struct {
 	events []event
 	heap   []int32
 	free   []int32
-	// windowed counts events currently held out of the heap by a
-	// lookahead window; window is the reusable collection buffer (see
-	// RunUntilWindowed in window.go).
-	windowed int
-	window   []QueuedEvent
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -139,10 +119,8 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending returns the number of events waiting to fire. Canceled events
-// are removed from the queue eagerly and do not count. Events held in a
-// lookahead window (RunUntilWindowed) have not fired and still count, so
-// the accounting is identical under both run loops.
-func (s *Scheduler) Pending() int { return len(s.heap) + s.windowed }
+// are removed from the queue eagerly and do not count.
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
