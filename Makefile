@@ -52,9 +52,11 @@ fuzz:
 # untested addition fails here. The scheduler and world floors guard the
 # event queue and the struct-of-arrays and data-parallel round paths:
 # they are exercised almost entirely by tests (the determinism battery),
-# so a coverage drop there means an unpinned path.
+# so a coverage drop there means an unpinned path. The radio floor guards
+# the medium's broadcast paths, pinned against Broadcast by its
+# differential tests.
 COVER_FLOORS = repro/internal/sweep:88 repro/internal/serve:83 repro/internal/dsweep:80 \
-	repro/internal/sim:97 repro/internal/netsim:82
+	repro/internal/sim:97 repro/internal/netsim:82 repro/internal/radio:95.5
 
 cover:
 	@for spec in $(COVER_FLOORS); do \

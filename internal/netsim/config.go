@@ -134,14 +134,13 @@ type Config struct {
 	StopOnFirstDeath bool
 	// Horizon is the hard wall-clock stop in virtual seconds.
 	Horizon sim.Time
-	// Tracer optionally records structured events; nil disables tracing.
-	Tracer *trace.Tracer
 	// Sink, when non-nil, receives every trace event as the simulation
 	// produces it, in simulated-time order — the feed behind the public
-	// Observer callbacks and the JSONL trace export. It composes with
-	// Tracer: both see the same stream. With Tracer and Sink both nil the
-	// world skips event dispatch entirely, so the zero-observer run is
-	// bit-identical to (and as fast as) a build without observability.
+	// Observer callbacks, the JSONL trace export and the ring-buffer
+	// *trace.Tracer; trace.Multi fans one stream out to several. With Sink
+	// nil the world skips event dispatch entirely, so the zero-observer
+	// run is bit-identical to (and as fast as) a build without
+	// observability.
 	Sink trace.Sink
 	// SampleInterval, when positive, samples time-resolved run metrics —
 	// cumulative per-category energy, residual-energy min/mean, alive

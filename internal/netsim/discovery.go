@@ -111,7 +111,8 @@ func (t *aodvTransport) pump() error {
 // unicast) over the radio medium and returns the discovered src→dst path.
 // It exercises the real on-demand protocol instead of an oracle planner:
 // the flood, duplicate suppression, and reverse-route learning all happen
-// as radio traffic. Zero-bandwidth media resolve synchronously.
+// as radio traffic. The radio delivers synchronously, so the flood has
+// resolved by the time RequestRoute returns.
 func (w *World) DiscoverPath(src, dst NodeID) ([]NodeID, error) {
 	if src < 0 || src >= len(w.nodes) || dst < 0 || dst >= len(w.nodes) {
 		return nil, fmt.Errorf("netsim: endpoints (%d,%d) out of range", src, dst)

@@ -119,7 +119,7 @@ func TestRetryExhaustionDropsPacket(t *testing.T) {
 		Script: script, RetryLimit: limit, RetryTimeout: 0.25,
 	})
 	tracer := trace.New(1 << 12)
-	cfg.Tracer = tracer
+	cfg.Sink = tracer
 	res := runChainFlow(t, cfg, 3, 0, 1e6, 8192*4) // 4 packets
 	out := res.Outcome()
 
@@ -207,7 +207,7 @@ func TestCrashMidFlowReroutes(t *testing.T) {
 	})
 	cfg.Radio.Range = 150
 	tracer := trace.New(1 << 12)
-	cfg.Tracer = tracer
+	cfg.Sink = tracer
 	energies := []float64{1e6, 1e6, 1e6, 1e6}
 	w, err := NewWorld(cfg, pts, energies)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestCrashMidFlowReroutes(t *testing.T) {
 func TestCrashRecoveryResumesFlow(t *testing.T) {
 	cfg := faultChainCfg(&fault.Config{RetryLimit: 1, RetryTimeout: 0.25})
 	tracer := trace.New(1 << 12)
-	cfg.Tracer = tracer
+	cfg.Sink = tracer
 	// A bent 5-node arc forces a multi-hop path; crash the flow's first
 	// relay through the world-level scheduling API.
 	w := chainWorld(t, cfg, 5, 40, 1e6)

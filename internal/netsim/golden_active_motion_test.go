@@ -163,6 +163,12 @@ func checkActiveMotionScene(t *testing.T, s activeMotionScene) {
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
+	// These scenes pin the informed mode's post-seeding HELLO rounds (the
+	// zero-fault informed golden beacons only at seeding); a scene that
+	// stopped beaconing would leave its digests pinning none of them.
+	if traced.Medium.Broadcasts == 0 {
+		t.Errorf("%s: no broadcasts after seeding", s)
+	}
 	got := [2]string{resultDigest(t, traced), hex.EncodeToString(h.Sum(nil)[:8])}
 	if want := goldenActiveMotion[s.String()]; got != want {
 		t.Errorf("%s: result/trace digests %s/%s, want %s/%s",

@@ -33,7 +33,7 @@ func splitWorldFingerprint(t *testing.T, mode Mode, split roundSplit, mutate ...
 	cfg := DefaultConfig()
 	cfg.Mode = mode
 	tracer := trace.New(1 << 20)
-	cfg.Tracer = tracer
+	cfg.Sink = tracer
 	for _, m := range mutate {
 		m(&cfg)
 	}
@@ -116,6 +116,8 @@ func splitWorldFingerprint(t *testing.T, mode Mode, split roundSplit, mutate ...
 
 // Golden fingerprints of the canonical scenario captured on the pre-fault
 // ideal-channel simulator. A change here means zero-fault behavior drifted.
+// The informed run sends no HELLO after seeding, so it pins no HELLO
+// round; TestGoldenActiveMotion's informed scenes do.
 const (
 	goldenInformedFingerprint    uint64 = 0x6b113cbbced240d3
 	goldenCostUnawareFingerprint uint64 = 0x1e76bc6d4d6c30b7

@@ -8,10 +8,10 @@ package netsim
 // round is a random walk over memory: receiver IDs are spatially random,
 // so each write chases endpoint → node → table → row into a cold node.
 //
-// With control traffic uncharged and a zero-bandwidth radio, a round can
-// change nothing but neighbor tables: a send draws no energy, so no node
-// dies and no later drift decision moves, and a beacon's receive path only
-// writes its receiver's table. Each (receiver, sender) row is written at
+// With control traffic uncharged, a round can change nothing but
+// neighbor tables: a send draws no energy, so no node dies and no later
+// drift decision moves, and a beacon's receive path only writes its
+// receiver's table. Each (receiver, sender) row is written at
 // most once per round — a node sends at most one beacon per round — with
 // the round's single timestamp, and tables are sorted by ID, so the order
 // of a round's deliveries cannot be observed. Within a round no node
@@ -38,10 +38,9 @@ package netsim
 // the calling goroutine alone. Results are byte-identical at any worker
 // count (TestDeterminismHelloRoundWorkers).
 //
-// A charged round (Radio.ChargeControl, ablation A4) or a positive-
-// bandwidth radio keeps the per-message path: there a sender can die
-// mid-round and trigger a route repair that reads tables, or deliveries
-// are deferred events interleaved with other traffic.
+// A charged round (Radio.ChargeControl, ablation A4) keeps the
+// per-message path: there a sender can die mid-round and trigger a route
+// repair that reads tables.
 
 import (
 	"runtime"
@@ -153,7 +152,7 @@ func fork(parts int, f func(k int)) {
 // batchedHello reports whether HELLO rounds take the two-phase path; the
 // conditions are the commutation argument's (see the file comment).
 func (w *World) batchedHello() bool {
-	return !w.perMessageHello && w.syncRadio && !w.cfg.Radio.ChargeControl
+	return !w.perMessageHello && !w.cfg.Radio.ChargeControl
 }
 
 // beaconRound runs one HELLO round: every live node whose advertised

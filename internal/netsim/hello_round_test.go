@@ -235,34 +235,3 @@ func TestDeterminismHelloRoundWorkers(t *testing.T) {
 		})
 	}
 }
-
-// TestPositiveBandwidthWorldSmoke runs a world whose radio has a finite
-// link rate, so every message — beacons included — arrives through a
-// scheduled delivery event after its serialization delay and HELLO
-// rounds stay on the per-message path. The run must complete its flows,
-// and beacons delivered after t=0 must have refreshed the tables.
-func TestPositiveBandwidthWorldSmoke(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeCostUnaware
-	cfg.Horizon = 300
-	cfg.Radio.Bandwidth = 2e6
-	run := runRoundPath(t, cfg, false, beaconBatchPairs, defaultRoundSplit(), 0)
-	if run.batched {
-		t.Fatal("positive-bandwidth rounds took the batched path")
-	}
-	var res Result
-	if err := json.Unmarshal(run.result, &res); err != nil {
-		t.Fatal(err)
-	}
-	for i, fo := range res.Flows {
-		if !fo.Completed {
-			t.Errorf("flow %d did not complete: %+v", i, fo)
-		}
-	}
-	if run.medium.Delivered <= run.medium.Unicasts {
-		t.Errorf("no broadcast deliveries: %+v", run.medium)
-	}
-	if run.tables[0] == run.tables[len(run.tables)-1] {
-		t.Error("tables never changed after the first round")
-	}
-}

@@ -374,13 +374,13 @@ func TestMultiFlowSharedRelay(t *testing.T) {
 func TestTracerRecordsEvents(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeCostUnaware
-	cfg.Tracer = trace.New(100000)
-	res := runChainFlow(t, cfg, 5, 40, 1e6, 8e5)
-	_ = res
-	if cfg.Tracer.CountKind(trace.KindPacketSent) == 0 {
+	tracer := trace.New(100000)
+	cfg.Sink = tracer
+	runChainFlow(t, cfg, 5, 40, 1e6, 8e5)
+	if tracer.CountKind(trace.KindPacketSent) == 0 {
 		t.Error("no packet-sent events traced")
 	}
-	if cfg.Tracer.CountKind(trace.KindNodeMoved) == 0 {
+	if tracer.CountKind(trace.KindNodeMoved) == 0 {
 		t.Error("no movement events traced")
 	}
 }
@@ -396,6 +396,8 @@ func TestAddFlowValidation(t *testing.T) {
 		{"bad src", FlowSpec{Src: -1, Dst: 1, LengthBits: 100}},
 		{"bad dst", FlowSpec{Src: 0, Dst: 99, LengthBits: 100}},
 		{"zero length", FlowSpec{Src: 0, Dst: 3, LengthBits: 0}},
+		{"infinite length", FlowSpec{Src: 0, Dst: 3, LengthBits: math.Inf(1)}},
+		{"NaN length", FlowSpec{Src: 0, Dst: 3, LengthBits: math.NaN()}},
 		{"broken path", FlowSpec{Src: 0, Dst: 3, LengthBits: 100, Path: []int{0, 3}}},
 	}
 	for _, tt := range tests {

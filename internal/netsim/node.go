@@ -180,9 +180,8 @@ func (n *node) Receive(from NodeID, msg any) {
 
 // sendReliable transmits a data packet to the flow's current next hop
 // under the retry/ack transport: the pending entry is registered before
-// the transmission because the zero-bandwidth medium delivers — and acks —
-// synchronously, so by the time Unicast returns the packet may already be
-// acked.
+// the transmission because the medium delivers — and acks — synchronously,
+// so by the time Unicast returns the packet may already be acked.
 func (n *node) sendReliable(fr *flowRuntime, hdr core.Header) {
 	x := n.transport()
 	key := pendingKey{flow: hdr.Flow, seq: hdr.Seq}
@@ -227,8 +226,8 @@ func (n *node) release(i int) {
 // table's current next hop and, if it is still unacked afterwards, arms
 // the retry timeout.
 //
-// On the synchronous radio the ack can release pt inside the Unicast, and
-// a relay downstream can take it from the free list before Unicast
+// The radio is synchronous: the ack can release pt inside the Unicast,
+// and a relay downstream can take it from the free list before Unicast
 // returns, so after the send only the copies taken before it (key, fr)
 // are read until pt is found still pending.
 func (n *node) transmitPending(pt *pendingTx) {

@@ -24,8 +24,8 @@ import (
 )
 
 // dataPacket is one in-flight data packet. Packets travel by pointer and
-// are recycled through the world's pool on the synchronous radio, so the
-// steady-state hop path allocates nothing (see freeList).
+// are recycled through the world's pool once the radio has delivered
+// them, so the steady-state hop path allocates nothing (see freeList).
 type dataPacket struct {
 	hdr core.Header
 }
@@ -97,9 +97,9 @@ type World struct {
 	// transport counts the retry/ack layer's activity.
 	injector  *fault.Injector
 	transport metrics.TransportStats
-	// observing caches whether any event consumer (Tracer or Sink) is
-	// attached; the hot-path trace() bails on this single bool so the
-	// zero-observer run pays one predictable branch per event point.
+	// observing caches whether a Sink is attached; the hot-path trace()
+	// bails on this single bool so the zero-observer run pays one
+	// predictable branch per event point.
 	observing bool
 	// series collects time-resolved metrics when Config.SampleInterval
 	// is positive; nil disables sampling.
@@ -125,13 +125,11 @@ type World struct {
 	markDeadFn  sim.Func
 	markAliveFn sim.Func
 	motionFn    sim.Func
-	// syncRadio records that the radio delivers synchronously (zero
-	// bandwidth): messages are fully consumed before a send returns, so
-	// packet, ack and beacon boxes are recycled through free lists
-	// instead of allocated per hop. pendingTxs recycles the retry
-	// transport's pending entries, which never leave the world, on any
-	// radio; an entry goes back only once no armed timer refers to it.
-	syncRadio   bool
+	// The radio delivers synchronously, so a message is fully consumed
+	// before its send returns: packet, ack and beacon boxes are recycled
+	// through free lists instead of allocated per hop. pendingTxs
+	// recycles the retry transport's pending entries; an entry goes back
+	// only once no armed timer refers to it.
 	packets     freeList[dataPacket]
 	acks        freeList[ackPacket]
 	beaconBoxes freeList[hello.Beacon]
@@ -145,14 +143,9 @@ type World struct {
 }
 
 // freeList is a stack of reusable boxes; the world is single-threaded,
-// so it needs no locking. A list with drop set discards what is put back:
-// on a positive-bandwidth radio a message outlives the send that carried
-// it (it sits in the scheduler until delivered), so message boxes are
-// only recycled on the synchronous radio and are otherwise
-// garbage-collected.
+// so it needs no locking.
 type freeList[T any] struct {
 	free []*T
-	drop bool
 }
 
 func (f *freeList[T]) get() *T {
@@ -166,9 +159,7 @@ func (f *freeList[T]) get() *T {
 
 // put recycles v, whose holder must no longer use it.
 func (f *freeList[T]) put(v *T) {
-	if !f.drop {
-		f.free = append(f.free, v)
-	}
+	f.free = append(f.free, v)
 }
 
 // failure is a scheduled node crash (failure injection).
@@ -216,16 +207,13 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 	if injector != nil {
 		rcfg.Faults = injector
 	}
-	medium, err := radio.NewMedium(sched, rcfg)
+	medium, err := radio.NewMedium(rcfg)
 	if err != nil {
 		return nil, err
 	}
 	w := &World{cfg: cfg, sched: sched, medium: medium, firstDeath: -1, injector: injector,
-		observing: cfg.Tracer != nil || cfg.Sink != nil,
-		syncRadio: cfg.Radio.Bandwidth <= 0,
+		observing: cfg.Sink != nil,
 		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
-	async := !w.syncRadio
-	w.packets.drop, w.acks.drop, w.beaconBoxes.drop = async, async, async
 	w.rows.build = w.rows.builder.Rows
 	if cfg.NeighborIndex == spatial.KindBrute {
 		w.rows.build = spatial.BruteRows
@@ -363,8 +351,8 @@ func (w *World) AddFlow(spec FlowSpec) (core.FlowID, error) {
 	if spec.Src < 0 || spec.Src >= len(w.nodes) || spec.Dst < 0 || spec.Dst >= len(w.nodes) {
 		return 0, fmt.Errorf("netsim: flow endpoints (%d,%d) out of range", spec.Src, spec.Dst)
 	}
-	if spec.LengthBits <= 0 {
-		return 0, fmt.Errorf("netsim: non-positive flow length %v", spec.LengthBits)
+	if !(spec.LengthBits > 0) || math.IsInf(spec.LengthBits, 0) {
+		return 0, fmt.Errorf("netsim: flow length %v is not positive and finite", spec.LengthBits)
 	}
 	// All flows are added before Run on the unmoved t=0 placement, so one
 	// cached graph plans and validates every flow.
@@ -982,21 +970,12 @@ func (w *World) planPath(g *topo.Graph, src, dst NodeID) ([]NodeID, error) {
 	return ea.PlanRouteEnergy(g, energies, src, dst)
 }
 
-// trace dispatches one event to the attached consumers. It inlines to a
-// single predicted branch around the out-of-line record, so with no
-// Tracer and no Sink a call site never copies the event into a call,
-// keeping the zero-observer hot path at pre-observability cost
+// trace dispatches one event to the attached sink. It inlines to a
+// single predicted branch around the sink call, keeping the
+// zero-observer hot path at pre-observability cost
 // (BenchmarkObserverOverhead pins this).
 func (w *World) trace(e trace.Event) {
 	if w.observing {
-		w.record(e)
-	}
-}
-
-// record is trace's out-of-line half.
-func (w *World) record(e trace.Event) {
-	w.cfg.Tracer.Record(e)
-	if w.cfg.Sink != nil {
 		w.cfg.Sink.Record(e)
 	}
 }

@@ -1,7 +1,8 @@
 // Package radio implements the wireless channel substrate: an ideal
 // unit-disk medium with power-controlled unicast and broadcast, per-bit
-// transmission energy accounting against node batteries, and configurable
-// propagation/serialization delay.
+// transmission energy accounting against node batteries. Delivery is
+// synchronous: the paper's simulator ignores transmission delay, so a
+// message is handed to its receiver before the send returns.
 //
 // The channel is ideal by default (no loss, no MAC contention), matching
 // the paper's simulator: its results depend on the energy geometry of the
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/geom"
-	"repro/internal/sim"
 )
 
 // NodeID identifies a registered endpoint.
@@ -35,7 +35,8 @@ type Endpoint interface {
 	Position() geom.Point
 	// Battery returns the battery charged for this node's transmissions.
 	Battery() *energy.Battery
-	// Receive delivers a message. It runs inside a scheduler event.
+	// Receive delivers a message. It runs synchronously inside the send
+	// that carried it.
 	Receive(from NodeID, msg any)
 }
 
@@ -45,11 +46,6 @@ type Config struct {
 	Tx energy.TxModel
 	// Range is the maximum communication distance in meters.
 	Range float64
-	// Bandwidth is the link rate in bits/second used to compute
-	// serialization delay. Zero means instantaneous delivery: messages
-	// are handed to the receiver synchronously, without a scheduler
-	// event (the paper's simulator ignores transmission delay).
-	Bandwidth float64
 	// ChargeControl controls whether transmissions under
 	// energy.CatControl draw from the battery. The paper treats control
 	// traffic (HELLO beacons, notifications) as free; ablation A4 charges
@@ -85,9 +81,6 @@ func (c Config) Validate() error {
 	if c.Range <= 0 {
 		return fmt.Errorf("radio: non-positive range %v", c.Range)
 	}
-	if c.Bandwidth < 0 {
-		return fmt.Errorf("radio: negative bandwidth %v", c.Bandwidth)
-	}
 	if c.RxPerBit < 0 {
 		return fmt.Errorf("radio: negative rx cost %v", c.RxPerBit)
 	}
@@ -116,11 +109,10 @@ type Locator interface {
 	AppendReceivers(dst []int, from NodeID, p geom.Point, r float64) []int
 }
 
-// Medium is the shared wireless channel. It is single-threaded, driven by
-// the simulation scheduler.
+// Medium is the shared wireless channel. It is single-threaded: every
+// send completes, deliveries included, before it returns.
 type Medium struct {
-	cfg   Config
-	sched *sim.Scheduler
+	cfg Config
 	// endpoints is indexed directly by NodeID (nil = unregistered): node
 	// IDs are small and dense in every caller (netsim numbers nodes
 	// 0..n-1), and slice indexing keeps the two per-unicast lookups off
@@ -130,11 +122,8 @@ type Medium struct {
 	// locator, when installed, serves broadcast receiver lookups; nil
 	// falls back to the linear scan over endpoints.
 	locator Locator
-	// scratch is the reusable receiver-ID buffer for locator broadcasts;
-	// pool recycles the deferred-delivery slots of the positive-bandwidth
-	// path so in-flight messages do not allocate per hop.
+	// scratch is the reusable receiver-ID buffer for locator broadcasts.
 	scratch []NodeID
-	pool    []*delivery
 	stats   Stats
 }
 
@@ -142,18 +131,12 @@ type Medium struct {
 // absurd endpoint table (the slice grows to the largest registered ID).
 const maxNodeID = 1 << 24
 
-// NewMedium creates a medium on the given scheduler.
-func NewMedium(sched *sim.Scheduler, cfg Config) (*Medium, error) {
+// NewMedium creates a medium.
+func NewMedium(cfg Config) (*Medium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if sched == nil {
-		return nil, errors.New("radio: nil scheduler")
-	}
-	return &Medium{
-		cfg:   cfg,
-		sched: sched,
-	}, nil
+	return &Medium{cfg: cfg}, nil
 }
 
 // Register attaches an endpoint under the given ID, replacing any previous
@@ -192,27 +175,11 @@ func (m *Medium) UseLocator(loc Locator) {
 // Stats returns a copy of the activity counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// Range returns the configured communication range.
-func (m *Medium) Range() float64 { return m.cfg.Range }
-
-// TxModel returns the medium's transmission energy model.
-func (m *Medium) TxModel() energy.TxModel { return m.cfg.Tx }
-
-// InRange reports whether two registered nodes are currently within
-// communication range of each other.
-func (m *Medium) InRange(a, b NodeID) bool {
-	ea, eb := m.endpoint(a), m.endpoint(b)
-	if ea == nil || eb == nil {
-		return false
-	}
-	return ea.Position().Dist(eb.Position()) <= m.cfg.Range
-}
-
 // Unicast transmits bits from one node to another with power control: the
-// sender spends exactly E_T(d, bits) for the current distance d. The
-// message is delivered through the scheduler after the serialization
-// delay. Errors: ErrUnknownNode, ErrOutOfRange, energy.ErrDepleted (the
-// sender died mid-transmission; nothing is delivered).
+// sender spends exactly E_T(d, bits) for the current distance d, and the
+// message is delivered before Unicast returns. Errors: ErrUnknownNode,
+// ErrOutOfRange, energy.ErrDepleted (the sender died mid-transmission;
+// nothing is delivered).
 func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg any) error {
 	sender := m.endpoint(from)
 	if sender == nil {
@@ -239,7 +206,7 @@ func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg
 		m.stats.FaultDrops++
 		return nil
 	}
-	m.deliver(from, receiver, bits, cat, msg)
+	m.handoff(from, receiver, bits, cat, msg)
 	return nil
 }
 
@@ -248,31 +215,21 @@ func (m *Medium) Unicast(from, to NodeID, bits float64, cat energy.Category, msg
 // number of receivers, or an error if the sender is unknown or died
 // mid-transmission.
 func (m *Medium) Broadcast(from NodeID, bits float64, cat energy.Category, msg any) (int, error) {
-	return m.fanOut(from, bits, cat, msg, nil)
+	return m.fanOut(from, bits, cat, msg)
 }
 
-// AppendBroadcast is Broadcast without the handoff: it charges the
-// sender, resolves the receivers in ascending ID order, consults the
-// fault hook for each, and counts the broadcast and its deliveries exactly
-// as Broadcast does, but instead of calling Receive it appends the IDs of
-// the receivers the message reached to dst and returns the extended
-// slice. The caller hands the message over itself. Deliveries are taken
-// as immediate — the zero-bandwidth path — whatever Config.Bandwidth is,
-// and receive-side energy is charged before the ID is appended; a
-// receiver that dies paying it is counted as a dead drop and left out.
-func (m *Medium) AppendBroadcast(dst []NodeID, from NodeID, bits float64, cat energy.Category) ([]NodeID, error) {
-	_, err := m.fanOut(from, bits, cat, nil, &dst)
-	return dst, err
-}
-
-// AppendBroadcastTo is AppendBroadcast with the receivers resolved by the
-// caller: ids must be the set the installed locator would report for
-// from's broadcast at this moment (ascending, the sender may be listed),
-// so every listed ID is a registered endpoint, as the Locator contract
-// requires. Everything after the lookup is AppendBroadcast's — the sender
-// charge, the fault hook consulted per receiver in ids order, the receive
-// charge and every counter — so receiver sets can be resolved ahead of
-// time, concurrently, and accounted for here serially in send order.
+// AppendBroadcastTo is Broadcast without the lookup and the handoff. The
+// caller resolves the receivers: ids must be the set the installed
+// locator would report for from's broadcast at this moment (ascending,
+// the sender may be listed), so every listed ID is a registered endpoint,
+// as the Locator contract requires. Everything else is Broadcast's — the
+// sender charge, the fault hook consulted per receiver in ids order, the
+// receive charge and every counter — but instead of calling Receive it
+// appends the IDs of the receivers the message reached to dst and returns
+// the extended slice; the caller hands the message over itself. A
+// receiver that dies paying its receive-side energy is counted as a dead
+// drop and left out. Receiver sets can thus be resolved ahead of time,
+// concurrently, and accounted for here serially in send order.
 func (m *Medium) AppendBroadcastTo(dst []NodeID, from NodeID, ids []NodeID, bits float64, cat energy.Category) ([]NodeID, error) {
 	sender, err := m.keyUp(from, bits, cat)
 	if err != nil {
@@ -282,12 +239,11 @@ func (m *Medium) AppendBroadcastTo(dst []NodeID, from NodeID, ids []NodeID, bits
 	return dst, nil
 }
 
-// fanOut is the broadcast behind Broadcast and AppendBroadcast. Every
-// receiver in range (ascending ID, the sender skipped) passes the fault
-// hook in that order; a survivor is then either handed msg through
-// deliver (out nil) or appended to *out after its receive-side charge.
-// It returns the number of receivers that survived the fault hook.
-func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any, out *[]NodeID) (int, error) {
+// fanOut is the broadcast behind Broadcast. Every receiver in range
+// (ascending ID, the sender skipped) passes the fault hook in that order,
+// and each survivor is handed msg. It returns the number of receivers
+// that survived the fault hook.
+func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any) (int, error) {
 	sender, err := m.keyUp(from, bits, cat)
 	if err != nil {
 		return 0, err
@@ -299,7 +255,7 @@ func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any,
 		// iterating so a reentrant broadcast cannot clobber it.
 		ids := m.locator.AppendReceivers(m.scratch[:0], from, origin, m.cfg.Range)
 		m.scratch = nil
-		n := m.reachAll(from, origin, ids, bits, cat, msg, out)
+		n := m.reachAll(from, origin, ids, bits, cat, msg, nil)
 		m.scratch = ids
 		return n, nil
 	}
@@ -309,7 +265,7 @@ func (m *Medium) fanOut(from NodeID, bits float64, cat energy.Category, msg any,
 		if id == from || ep == nil || origin.Dist2(ep.Position()) > m.cfg.Range*m.cfg.Range {
 			continue
 		}
-		if m.reach(from, id, ep, origin, bits, cat, msg, out) {
+		if m.reach(from, id, ep, origin, bits, cat, msg, nil) {
 			n++
 		}
 	}
@@ -371,7 +327,7 @@ func (m *Medium) reach(from, id NodeID, ep Endpoint, origin geom.Point, bits flo
 		return false
 	}
 	if out == nil {
-		m.deliver(from, ep, bits, cat, msg)
+		m.handoff(from, ep, bits, cat, msg)
 		return true
 	}
 	if !m.chargeRx(ep, bits, cat) {
@@ -405,50 +361,6 @@ func (m *Medium) charge(sender Endpoint, joules float64, cat energy.Category) er
 		return err
 	}
 	return nil
-}
-
-// delivery is one in-flight message of the positive-bandwidth path,
-// recycled through the medium's pool so serialization delay costs no
-// allocation per hop.
-type delivery struct {
-	m    *Medium
-	from NodeID
-	to   Endpoint
-	bits float64
-	cat  energy.Category
-	msg  any
-}
-
-// deliverFn is the shared scheduler callback for deferred deliveries.
-var deliverFn sim.Func = func(arg any) {
-	d := arg.(*delivery)
-	m, from, to, bits, cat, msg := d.m, d.from, d.to, d.bits, d.cat, d.msg
-	*d = delivery{}
-	m.pool = append(m.pool, d)
-	m.handoff(from, to, bits, cat, msg)
-}
-
-func (m *Medium) deliver(from NodeID, to Endpoint, bits float64, cat energy.Category, msg any) {
-	if m.cfg.Bandwidth <= 0 {
-		// Zero serialization delay: deliver synchronously. This keeps
-		// dense control traffic (HELLO floods) off the event queue.
-		m.handoff(from, to, bits, cat, msg)
-		return
-	}
-	var d *delivery
-	if n := len(m.pool); n > 0 {
-		d = m.pool[n-1]
-		m.pool = m.pool[:n-1]
-	} else {
-		d = new(delivery)
-	}
-	*d = delivery{m: m, from: from, to: to, bits: bits, cat: cat, msg: msg}
-	delay := sim.Time(bits / m.cfg.Bandwidth)
-	// Scheduling only fails for invalid times, which cannot arise from a
-	// validated bandwidth; treat failure as a programming error.
-	if _, err := m.sched.AfterArg(delay, deliverFn, d); err != nil {
-		panic(fmt.Sprintf("radio: scheduling delivery: %v", err))
-	}
 }
 
 // handoff completes one delivery at the receiver.

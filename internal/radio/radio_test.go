@@ -2,13 +2,13 @@ package radio
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
-	"repro/internal/sim"
 )
 
 // testNode is a minimal Endpoint for medium tests.
@@ -33,10 +33,9 @@ func defaultConfig() Config {
 	return Config{Tx: energy.DefaultTxModel(), Range: 200}
 }
 
-func setup(t *testing.T, cfg Config, positions ...geom.Point) (*sim.Scheduler, *Medium, []*testNode) {
+func setup(t *testing.T, cfg Config, positions ...geom.Point) (*Medium, []*testNode) {
 	t.Helper()
-	sched := sim.NewScheduler()
-	m, err := NewMedium(sched, cfg)
+	m, err := NewMedium(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +46,13 @@ func setup(t *testing.T, cfg Config, positions ...geom.Point) (*sim.Scheduler, *
 			t.Fatal(err)
 		}
 	}
-	return sched, m, nodes
+	return m, nodes
 }
 
 func TestUnicastDeliversAndCharges(t *testing.T) {
-	sched, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	const bits = 8000.0
 	if err := m.Unicast(0, 1, bits, energy.CatTx, "hello"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes[1].received) != 1 {
@@ -76,7 +72,7 @@ func TestUnicastDeliversAndCharges(t *testing.T) {
 
 func TestUnicastPowerControl(t *testing.T) {
 	// Energy scales with actual distance, not with range.
-	sched, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 190))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 190))
 	if err := m.Unicast(0, 1, 1000, energy.CatTx, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +84,10 @@ func TestUnicastPowerControl(t *testing.T) {
 	if far <= near {
 		t.Errorf("far hop (%v J) should cost more than near hop (%v J)", far, near)
 	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestUnicastOutOfRange(t *testing.T) {
-	_, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(201, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(201, 0))
 	err := m.Unicast(0, 1, 1000, energy.CatTx, nil)
 	if !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("err = %v, want ErrOutOfRange", err)
@@ -108,12 +101,9 @@ func TestUnicastOutOfRange(t *testing.T) {
 }
 
 func TestUnicastExactRange(t *testing.T) {
-	sched, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(200, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(200, 0))
 	if err := m.Unicast(0, 1, 100, energy.CatTx, nil); err != nil {
 		t.Fatalf("distance == range should work, got %v", err)
-	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
 	}
 	if len(nodes[1].received) != 1 {
 		t.Error("message not delivered at exact range")
@@ -121,7 +111,7 @@ func TestUnicastExactRange(t *testing.T) {
 }
 
 func TestUnicastUnknownNodes(t *testing.T) {
-	_, m, _ := setup(t, defaultConfig(), geom.Pt(0, 0))
+	m, _ := setup(t, defaultConfig(), geom.Pt(0, 0))
 	if err := m.Unicast(0, 99, 10, energy.CatTx, nil); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("unknown receiver err = %v", err)
 	}
@@ -131,7 +121,7 @@ func TestUnicastUnknownNodes(t *testing.T) {
 }
 
 func TestUnicastSenderDies(t *testing.T) {
-	_, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	nodes[0].battery = energy.NewBattery(1e-9) // nearly empty
 	err := m.Unicast(0, 1, 1e9, energy.CatTx, nil)
 	if !errors.Is(err, energy.ErrDepleted) {
@@ -149,7 +139,7 @@ func TestUnicastSenderDies(t *testing.T) {
 }
 
 func TestBroadcastReachesOnlyInRange(t *testing.T) {
-	sched, m, nodes := setup(t, defaultConfig(),
+	m, nodes := setup(t, defaultConfig(),
 		geom.Pt(0, 0),   // sender
 		geom.Pt(100, 0), // in range
 		geom.Pt(0, 150), // in range
@@ -161,9 +151,6 @@ func TestBroadcastReachesOnlyInRange(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("reached %d receivers, want 2", n)
-	}
-	if err := sched.Run(); err != nil {
-		t.Fatal(err)
 	}
 	if len(nodes[1].received) != 1 || len(nodes[2].received) != 1 {
 		t.Error("in-range nodes should receive the broadcast")
@@ -177,7 +164,7 @@ func TestBroadcastReachesOnlyInRange(t *testing.T) {
 }
 
 func TestControlTrafficFreeByDefault(t *testing.T) {
-	_, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	if _, err := m.Broadcast(0, 800, energy.CatControl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +179,7 @@ func TestControlTrafficFreeByDefault(t *testing.T) {
 func TestControlTrafficChargedWhenConfigured(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.ChargeControl = true
-	_, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
 	if _, err := m.Broadcast(0, 800, energy.CatControl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -202,58 +189,14 @@ func TestControlTrafficChargedWhenConfigured(t *testing.T) {
 	}
 }
 
-func TestBandwidthDelay(t *testing.T) {
-	cfg := defaultConfig()
-	cfg.Bandwidth = 8000 // bits/sec
-	sched, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
-	if err := m.Unicast(0, 1, 8000, energy.CatTx, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes[1].received) != 0 {
-		t.Fatal("delivery should not be synchronous with positive bandwidth delay")
-	}
-	if err := sched.RunUntil(0.999); err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes[1].received) != 0 {
-		t.Error("delivered before serialization delay elapsed")
-	}
-	if err := sched.RunUntil(1.0); err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes[1].received) != 1 {
-		t.Error("not delivered after serialization delay")
-	}
-}
-
-func TestInRange(t *testing.T) {
-	_, m, _ := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(999, 0))
-	if !m.InRange(0, 1) {
-		t.Error("0-1 should be in range")
-	}
-	if m.InRange(0, 2) {
-		t.Error("0-2 should be out of range")
-	}
-	if m.InRange(0, 42) {
-		t.Error("unknown node is never in range")
-	}
-}
-
 func TestMediumConfigValidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 0}); err == nil {
+	if _, err := NewMedium(Config{Tx: energy.DefaultTxModel(), Range: 0}); err == nil {
 		t.Error("zero range should error")
 	}
-	if _, err := NewMedium(sched, Config{Tx: energy.DefaultTxModel(), Range: 100, Bandwidth: -1}); err == nil {
-		t.Error("negative bandwidth should error")
-	}
-	if _, err := NewMedium(sched, Config{Tx: energy.TxModel{A: -1, B: 1, Alpha: 2}, Range: 100}); err == nil {
+	if _, err := NewMedium(Config{Tx: energy.TxModel{A: -1, B: 1, Alpha: 2}, Range: 100}); err == nil {
 		t.Error("invalid tx model should error")
 	}
-	if _, err := NewMedium(nil, defaultConfig()); err == nil {
-		t.Error("nil scheduler should error")
-	}
-	m, err := NewMedium(sched, defaultConfig())
+	m, err := NewMedium(defaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,16 +206,13 @@ func TestMediumConfigValidation(t *testing.T) {
 }
 
 func TestStatsCounts(t *testing.T) {
-	sched, m, _ := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, _ := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	for i := 0; i < 3; i++ {
 		if err := m.Unicast(0, 1, 10, energy.CatTx, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := m.Broadcast(1, 10, energy.CatControl, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	s := m.Stats()
@@ -284,7 +224,7 @@ func TestStatsCounts(t *testing.T) {
 func TestPositionConsultedAtSendTime(t *testing.T) {
 	// A node that moved out of range since registration must not be
 	// reachable: the medium reads positions lazily.
-	_, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	nodes[1].pos = geom.Pt(5000, 0)
 	if err := m.Unicast(0, 1, 10, energy.CatTx, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("err = %v, want ErrOutOfRange after move", err)
@@ -294,11 +234,8 @@ func TestPositionConsultedAtSendTime(t *testing.T) {
 func TestRxCostChargedWhenConfigured(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.RxPerBit = 1e-7
-	sched, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
 	if err := m.Unicast(0, 1, 8000, energy.CatTx, "data"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := 1e-7 * 8000
@@ -311,11 +248,8 @@ func TestRxCostChargedWhenConfigured(t *testing.T) {
 }
 
 func TestRxCostOffByDefault(t *testing.T) {
-	sched, m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, defaultConfig(), geom.Pt(0, 0), geom.Pt(100, 0))
 	if err := m.Unicast(0, 1, 8000, energy.CatTx, "data"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := nodes[1].battery.Spent(energy.CatRx); got != 0 {
@@ -326,12 +260,9 @@ func TestRxCostOffByDefault(t *testing.T) {
 func TestRxCostKillsReceiverAndDropsMessage(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.RxPerBit = 1
-	sched, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
 	nodes[1].battery = energy.NewBattery(10) // can't afford 8000 J of rx
 	if err := m.Unicast(0, 1, 8000, energy.CatTx, "data"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes[1].received) != 0 {
@@ -348,22 +279,16 @@ func TestRxCostKillsReceiverAndDropsMessage(t *testing.T) {
 func TestRxCostControlFreeUnlessCharged(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.RxPerBit = 1e-7
-	sched, m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
+	m, nodes := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
 	if _, err := m.Broadcast(0, 800, energy.CatControl, "beacon"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := nodes[1].battery.Spent(energy.CatRx); got != 0 {
 		t.Errorf("control rx charged %v without ChargeControl", got)
 	}
 	cfg.ChargeControl = true
-	sched2, m2, nodes2 := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
+	m2, nodes2 := setup(t, cfg, geom.Pt(0, 0), geom.Pt(100, 0))
 	if _, err := m2.Broadcast(0, 800, energy.CatControl, "beacon"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sched2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := nodes2[1].battery.Spent(energy.CatRx); got <= 0 {
@@ -374,7 +299,7 @@ func TestRxCostControlFreeUnlessCharged(t *testing.T) {
 func TestNegativeRxCostRejected(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.RxPerBit = -1
-	if _, err := NewMedium(sim.NewScheduler(), cfg); err == nil {
+	if _, err := NewMedium(cfg); err == nil {
 		t.Error("negative rx cost should fail validation")
 	}
 }
@@ -400,154 +325,11 @@ func (l scanLocator) AppendReceivers(dst []int, _ NodeID, p geom.Point, r float6
 	return dst
 }
 
-// TestAppendBroadcastMatchesBroadcast checks that AppendBroadcast reports
-// exactly the receivers Broadcast hands the message to, asks the fault
-// hook about the same deliveries in the same order, and leaves the same
-// counters — with and without a locator, and with a receiver that dies
-// paying its receive-side energy.
-func TestAppendBroadcastMatchesBroadcast(t *testing.T) {
-	positions := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
-		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
-	}
-	for _, withLocator := range []bool{false, true} {
-		run := func(appendOnly bool) ([]NodeID, []*testNode, *alternateDrops, Stats) {
-			hook := &alternateDrops{}
-			cfg := defaultConfig()
-			cfg.Faults = hook
-			cfg.ChargeControl = true
-			cfg.RxPerBit = 1e-3
-			sched, m, nodes := setup(t, cfg, positions...)
-			nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits
-			if withLocator {
-				m.UseLocator(scanLocator(nodes))
-			}
-			var reached []NodeID
-			for _, from := range []NodeID{0, 2, 6} {
-				if appendOnly {
-					var err error
-					if reached, err = m.AppendBroadcast(reached, from, 800, energy.CatControl); err != nil {
-						t.Fatal(err)
-					}
-				} else if _, err := m.Broadcast(from, 800, energy.CatControl, from); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sched.Run(); err != nil {
-				t.Fatal(err)
-			}
-			return reached, nodes, hook, m.Stats()
-		}
-		reached, _, appendHook, appendStats := run(true)
-		_, nodes, hook, stats := run(false)
-		var received []NodeID
-		for _, from := range []NodeID{0, 2, 6} {
-			for id, n := range nodes {
-				for _, r := range n.received {
-					if r.from == from {
-						received = append(received, id)
-					}
-				}
-			}
-		}
-		if !slices.Equal(reached, received) {
-			t.Errorf("locator %v: AppendBroadcast reached %v, Broadcast delivered to %v", withLocator, reached, received)
-		}
-		if !slices.Equal(appendHook.calls, hook.calls) {
-			t.Errorf("locator %v: fault hook calls %v, want %v", withLocator, appendHook.calls, hook.calls)
-		}
-		if appendStats != stats {
-			t.Errorf("locator %v: stats %+v, want %+v", withLocator, appendStats, stats)
-		}
-		if stats.FaultDrops == 0 || stats.DeadDrops == 0 {
-			t.Errorf("locator %v: scene lost nothing (%+v)", withLocator, stats)
-		}
-	}
-}
-
-// TestAppendBroadcastToMatchesAppendBroadcast checks that a broadcast
-// whose receivers the caller resolved ahead of time is accounted exactly
-// like one the medium locates itself: the same reached IDs, counters,
-// fault-hook calls in the same order and battery charges, on an ideal
-// channel, a lossy one with a scripted hook, and one that charges
-// receivers (where a receiver dies paying and a sender dies keying up).
-func TestAppendBroadcastToMatchesAppendBroadcast(t *testing.T) {
-	positions := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
-		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
-	}
-	senders := []NodeID{0, 2, 6, 5, 3}
-	scenes := []struct {
-		name   string
-		lossy  bool
-		charge bool
-	}{
-		{"ideal", false, false},
-		{"lossy", true, false},
-		{"rx-charged", false, true},
-	}
-	for _, sc := range scenes {
-		t.Run(sc.name, func(t *testing.T) {
-			run := func(resolved bool) ([]NodeID, []error, [][2]NodeID, Stats, []float64) {
-				hook := &alternateDrops{}
-				cfg := defaultConfig()
-				if sc.lossy {
-					cfg.Faults = hook
-				}
-				if sc.charge {
-					cfg.ChargeControl = true
-					cfg.RxPerBit = 1e-3
-				}
-				_, m, nodes := setup(t, cfg, positions...)
-				nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits
-				nodes[3].battery = energy.NewBattery(0)   // dies keying up, if charged
-				loc := scanLocator(nodes)
-				m.UseLocator(loc)
-				var reached []NodeID
-				var errs []error
-				for _, from := range senders {
-					var err error
-					if resolved {
-						ids := loc.AppendReceivers(nil, from, nodes[from].pos, cfg.Range)
-						reached, err = m.AppendBroadcastTo(reached, from, ids, 800, energy.CatControl)
-					} else {
-						reached, err = m.AppendBroadcast(reached, from, 800, energy.CatControl)
-					}
-					errs = append(errs, err)
-				}
-				spent := make([]float64, len(nodes))
-				for i, n := range nodes {
-					spent[i] = n.battery.TotalSpent()
-				}
-				return reached, errs, hook.calls, m.Stats(), spent
-			}
-			reached, errs, calls, stats, spent := run(true)
-			wantReached, wantErrs, wantCalls, wantStats, wantSpent := run(false)
-			if !slices.Equal(reached, wantReached) {
-				t.Errorf("reached %v, want %v", reached, wantReached)
-			}
-			for i := range errs {
-				if (errs[i] == nil) != (wantErrs[i] == nil) || errs[i] != nil && errs[i].Error() != wantErrs[i].Error() {
-					t.Errorf("sender %d: error %v, want %v", senders[i], errs[i], wantErrs[i])
-				}
-			}
-			if !slices.Equal(calls, wantCalls) {
-				t.Errorf("fault hook calls %v, want %v", calls, wantCalls)
-			}
-			if stats != wantStats {
-				t.Errorf("stats %+v, want %+v", stats, wantStats)
-			}
-			if !slices.Equal(spent, wantSpent) {
-				t.Errorf("battery draw %v, want %v", spent, wantSpent)
-			}
-			if stats.Delivered == 0 {
-				t.Fatal("nothing delivered: the scene exercises nothing")
-			}
-			if sc.lossy && stats.FaultDrops == 0 || sc.charge && stats.DeadDrops < 2 {
-				t.Errorf("scene lost less than it should (%+v)", stats)
-			}
-		})
-	}
+// broadcastScene is the node layout of the broadcast differential tests:
+// node 5 is out of everyone's range, the others overlap.
+var broadcastScene = []geom.Point{
+	geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
+	geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
 }
 
 // recordingNode is an Endpoint that logs each delivery, in arrival order,
@@ -560,18 +342,143 @@ type recordingNode struct {
 
 func (n *recordingNode) Receive(from int, _ any) { *n.log = append(*n.log, [2]NodeID{from, n.id}) }
 
-// TestAppendBroadcastFreePathMatchesBroadcast checks AppendBroadcast and
-// AppendBroadcastTo against the per-message Broadcast, the reference, on
-// broadcasts that are free (no fault hook, no energy drawn) and on ones
-// that are not: each must reach the same receivers in the same order and
-// leave the same counters and batteries. AppendBroadcastTo gets its
-// receiver lists with the sender listed and without it; the isolated
-// sender 5's list is empty without it.
-func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
-	positions := []geom.Point{
-		geom.Pt(0, 0), geom.Pt(50, 0), geom.Pt(0, 60), geom.Pt(-70, 10),
-		geom.Pt(20, -90), geom.Pt(400, 0), geom.Pt(120, 120), geom.Pt(-30, -30),
+// recordingSetup registers a recordingNode with a 100 J battery at each
+// position on a medium built from cfg. It returns the medium, the nodes, a
+// locator over them (not installed) and the delivery log they share.
+func recordingSetup(t *testing.T, cfg Config, positions []geom.Point) (*Medium, []*recordingNode, scanLocator, *[][2]NodeID) {
+	t.Helper()
+	m, err := NewMedium(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	log := new([][2]NodeID)
+	nodes := make([]*recordingNode, len(positions))
+	loc := make(scanLocator, len(positions))
+	for i, p := range positions {
+		nodes[i] = &recordingNode{testNode: testNode{pos: p, battery: energy.NewBattery(100)}, id: i, log: log}
+		loc[i] = &nodes[i].testNode
+		if err := m.Register(i, nodes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, nodes, loc, log
+}
+
+// appendResolved broadcasts 800 bits from node from to the resolved
+// receivers ids through AppendBroadcastTo, and logs the reached receivers
+// as Receive would have.
+func appendResolved(m *Medium, log *[][2]NodeID, from NodeID, ids []NodeID, cat energy.Category) error {
+	reached, err := m.AppendBroadcastTo(nil, from, ids, 800, cat)
+	for _, id := range reached {
+		*log = append(*log, [2]NodeID{from, id})
+	}
+	return err
+}
+
+// TestAppendBroadcastToMatchesBroadcast checks that a broadcast whose
+// receivers the caller resolved ahead of time is accounted exactly like
+// the per-message Broadcast, the reference: the same receivers in the
+// same order, errors, fault-hook calls in the same order, counters and
+// battery draw. The scenes are an ideal channel, a lossy one with a
+// scripted hook, one that charges receivers (where a receiver dies paying
+// and a sender dies keying up), and one with both losses. The reference
+// runs with a locator and with the medium's own scan.
+func TestAppendBroadcastToMatchesBroadcast(t *testing.T) {
+	senders := []NodeID{0, 2, 6, 5, 3}
+	scenes := []struct {
+		name   string
+		lossy  bool
+		charge bool
+	}{
+		{"ideal", false, false},
+		{"lossy", true, false},
+		{"rx-charged", false, true},
+		{"lossy-rx-charged", true, true},
+	}
+	type outcome struct {
+		reached [][2]NodeID
+		errs    []string
+		calls   [][2]NodeID
+		stats   Stats
+		spent   []float64
+	}
+	const (
+		located = iota
+		scanned
+		resolved
+	)
+	for _, sc := range scenes {
+		t.Run(sc.name, func(t *testing.T) {
+			run := func(path int) outcome {
+				hook := &alternateDrops{}
+				cfg := defaultConfig()
+				if sc.lossy {
+					cfg.Faults = hook
+				}
+				if sc.charge {
+					cfg.ChargeControl = true
+					cfg.RxPerBit = 1e-3
+				}
+				m, nodes, loc, log := recordingSetup(t, cfg, broadcastScene)
+				nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits, if charged
+				nodes[3].battery = energy.NewBattery(0)   // dies keying up, if charged
+				if path != scanned {
+					m.UseLocator(loc)
+				}
+				var out outcome
+				for _, from := range senders {
+					var err error
+					if path == resolved {
+						ids := loc.AppendReceivers(nil, from, nodes[from].pos, cfg.Range)
+						err = appendResolved(m, log, from, ids, energy.CatControl)
+					} else {
+						_, err = m.Broadcast(from, 800, energy.CatControl, from)
+					}
+					out.errs = append(out.errs, fmt.Sprint(err))
+				}
+				out.reached, out.calls, out.stats = *log, hook.calls, m.Stats()
+				for _, n := range nodes {
+					out.spent = append(out.spent, n.battery.TotalSpent())
+				}
+				return out
+			}
+			want := run(located)
+			for _, path := range []int{scanned, resolved} {
+				got := run(path)
+				if !slices.Equal(got.reached, want.reached) {
+					t.Errorf("path %d: reached %v, Broadcast delivered to %v", path, got.reached, want.reached)
+				}
+				if !slices.Equal(got.errs, want.errs) {
+					t.Errorf("path %d: errors %q, want %q", path, got.errs, want.errs)
+				}
+				if !slices.Equal(got.calls, want.calls) {
+					t.Errorf("path %d: fault hook calls %v, want %v", path, got.calls, want.calls)
+				}
+				if got.stats != want.stats {
+					t.Errorf("path %d: stats %+v, want %+v", path, got.stats, want.stats)
+				}
+				if !slices.Equal(got.spent, want.spent) {
+					t.Errorf("path %d: battery draw %v, want %v", path, got.spent, want.spent)
+				}
+			}
+			if want.stats.Delivered == 0 {
+				t.Fatal("nothing delivered: the scene exercises nothing")
+			}
+			if sc.lossy && want.stats.FaultDrops == 0 || sc.charge && want.stats.DeadDrops < 2 {
+				t.Errorf("scene lost less than it should (%+v)", want.stats)
+			}
+		})
+	}
+}
+
+// TestAppendBroadcastFreePathMatchesBroadcast checks AppendBroadcastTo
+// against the per-message Broadcast, the reference, on broadcasts that
+// are free (no fault hook, no energy drawn) and on ones that are not:
+// each must reach the same receivers in the same order and leave the same
+// counters and batteries. AppendBroadcastTo gets its receiver lists with
+// the sender listed and without it; the isolated sender 5's list is empty
+// without it.
+func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
 	senders := []NodeID{0, 2, 5, 6, 3}
 	scenes := []struct {
 		name  string
@@ -588,7 +495,6 @@ func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
 	}
 	const (
 		reference = iota
-		located
 		senderListed
 		senderUnlisted
 	)
@@ -597,54 +503,35 @@ func TestAppendBroadcastFreePathMatchesBroadcast(t *testing.T) {
 			run := func(path int) ([][2]NodeID, Stats, []energy.Battery) {
 				cfg := defaultConfig()
 				sc.cfg(&cfg)
-				m, err := NewMedium(sim.NewScheduler(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				m, nodes, loc, log := recordingSetup(t, cfg, broadcastScene)
 				if m.free(sc.cat) != sc.free {
 					t.Fatalf("free(%v) = %v, want %v", sc.cat, !sc.free, sc.free)
-				}
-				var log [][2]NodeID
-				nodes := make([]*recordingNode, len(positions))
-				loc := make(scanLocator, len(positions))
-				for i, p := range positions {
-					nodes[i] = &recordingNode{testNode: testNode{pos: p, battery: energy.NewBattery(100)}, id: i, log: &log}
-					loc[i] = &nodes[i].testNode
-					if err := m.Register(i, nodes[i]); err != nil {
-						t.Fatal(err)
-					}
 				}
 				nodes[7].battery = energy.NewBattery(0.1) // dies receiving 800 bits, if charged
 				m.UseLocator(loc)
 				for _, from := range senders {
-					var reached []NodeID
-					switch path {
-					case reference:
+					var err error
+					if path == reference {
 						_, err = m.Broadcast(from, 800, sc.cat, nil)
-					case located:
-						reached, err = m.AppendBroadcast(nil, from, 800, sc.cat)
-					default:
-						ids := loc.AppendReceivers(nil, from, positions[from], cfg.Range)
+					} else {
+						ids := loc.AppendReceivers(nil, from, broadcastScene[from], cfg.Range)
 						if path == senderUnlisted {
 							ids = slices.DeleteFunc(ids, func(id NodeID) bool { return id == from })
 						}
-						reached, err = m.AppendBroadcastTo(nil, from, ids, 800, sc.cat)
+						err = appendResolved(m, log, from, ids, sc.cat)
 					}
 					if err != nil {
 						t.Fatal(err)
-					}
-					for _, id := range reached {
-						log = append(log, [2]NodeID{from, id})
 					}
 				}
 				batteries := make([]energy.Battery, len(nodes))
 				for i, n := range nodes {
 					batteries[i] = *n.battery
 				}
-				return log, m.Stats(), batteries
+				return *log, m.Stats(), batteries
 			}
 			want, wantStats, wantBatteries := run(reference)
-			for _, path := range []int{located, senderListed, senderUnlisted} {
+			for _, path := range []int{senderListed, senderUnlisted} {
 				got, stats, batteries := run(path)
 				if !slices.Equal(got, want) {
 					t.Errorf("path %d: reached %v, Broadcast delivered %v", path, got, want)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -356,8 +357,8 @@ func (s *Scenario) Validate() error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("scenario: flow %d has src == dst", i)
 		}
-		if f.LengthKB <= 0 {
-			return fmt.Errorf("scenario: flow %d has non-positive length %v KB", i, f.LengthKB)
+		if !(f.LengthKB > 0) || math.IsInf(f.LengthKB*1024*8, 0) {
+			return fmt.Errorf("scenario: flow %d length %v KB is not positive and finite in bits", i, f.LengthKB)
 		}
 		if len(f.Path) > 0 && f.UseAODV {
 			return fmt.Errorf("scenario: flow %d sets both path and use_aodv", i)

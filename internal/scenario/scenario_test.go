@@ -140,6 +140,8 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 			"flows":[{"src":0,"dst":0,"length_kb":1}]}`},
 		{"zero length", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":0}]}`},
+		{"infinite length in bits", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1e306}]}`},
 		{"path and aodv", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1],"use_aodv":true}]}`},
 		{"bad failure node", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],

@@ -269,6 +269,7 @@ func TestFailurePaths(t *testing.T) {
 		{"unknown field", "POST", "/v1/jobs", `{"bogus_field": 1}`, 400, "bogus_field"},
 		{"no flows", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[]}`, 400, "no flows"},
 		{"bad trials", "POST", "/v1/jobs", `{"trials":-2,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "trials"},
+		{"infinite flow length", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1e306}]}`, 400, "length"},
 		{"trace with trials", "POST", "/v1/jobs", `{"trials":3,"output":{"trace":true},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "single trial"},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", 404, "unknown job"},
 		{"unknown job delete", "DELETE", "/v1/jobs/job-999", "", 404, "unknown job"},
