@@ -54,9 +54,11 @@ fuzz:
 # they are exercised almost entirely by tests (the determinism battery),
 # so a coverage drop there means an unpinned path. The radio floor guards
 # the medium's broadcast paths, pinned against Broadcast by its
-# differential tests.
+# differential tests. The scenario floor guards submit-time validation:
+# Load must reject whatever Build would.
 COVER_FLOORS = repro/internal/sweep:88 repro/internal/serve:83 repro/internal/dsweep:80 \
-	repro/internal/sim:97 repro/internal/netsim:82 repro/internal/radio:95.5
+	repro/internal/sim:97 repro/internal/netsim:82 repro/internal/radio:95.5 \
+	repro/internal/scenario:92.1
 
 cover:
 	@for spec in $(COVER_FLOORS); do \

@@ -171,67 +171,24 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if _, err := c.strategy(); err != nil {
-		return err
-	}
-	if _, err := c.mode(); err != nil {
-		return err
-	}
-	cfg, err := c.netsim()
-	if err != nil {
-		return err
-	}
-	return cfg.Validate()
+	_, err := c.netsim()
+	return err
 }
 
-func (c Config) txModel() energy.TxModel {
-	return energy.TxModel{A: c.TxA, B: c.TxB, Alpha: c.PathLossExp}
-}
-
-func (c Config) strategy() (mobility.Strategy, error) {
-	table, err := energy.NewPowerTable(c.txModel(), c.Range, 256)
-	if err != nil {
-		return nil, fmt.Errorf("imobif: building power table: %w", err)
-	}
-	env := mobility.Env{
-		Tx:       c.txModel(),
-		Range:    c.Range,
-		Table:    table,
-		Mobility: energy.MobilityModel{K: c.MobilityCost},
-	}
-	s, err := mobility.New(c.Strategy.Name, env, mobility.Params(c.Strategy.Params))
-	if err != nil {
-		return nil, fmt.Errorf("imobif: %w", err)
-	}
-	return s, nil
-}
-
-func (c Config) mode() (netsim.Mode, error) {
-	switch c.Mode {
-	case ModeNoMobility:
-		return netsim.ModeNoMobility, nil
-	case ModeCostUnaware:
-		return netsim.ModeCostUnaware, nil
-	case ModeInformed:
-		return netsim.ModeInformed, nil
-	default:
-		return 0, fmt.Errorf("imobif: unknown mode %q", c.Mode)
-	}
-}
-
+// netsim compiles the configuration into the world configuration it
+// runs, through netsim's one compile path (ParseMode, WithStrategy).
 func (c Config) netsim() (netsim.Config, error) {
-	strat, err := c.strategy()
+	mode, err := netsim.ParseMode(string(c.Mode))
 	if err != nil {
-		return netsim.Config{}, err
-	}
-	mode, err := c.mode()
-	if err != nil {
-		return netsim.Config{}, err
+		return netsim.Config{}, fmt.Errorf("imobif: %w", err)
 	}
 	cfg := netsim.DefaultConfig()
-	cfg.Radio = radio.Config{Tx: c.txModel(), Range: c.Range, ChargeControl: c.ChargeControl}
+	cfg.Radio = radio.Config{
+		Tx:            energy.TxModel{A: c.TxA, B: c.TxB, Alpha: c.PathLossExp},
+		Range:         c.Range,
+		ChargeControl: c.ChargeControl,
+	}
 	cfg.Mobility = energy.MobilityModel{K: c.MobilityCost}
-	cfg.Strategy = strat
 	cfg.Mode = mode
 	cfg.MaxStep = c.MaxStepMeters
 	cfg.PacketBits = float64(c.PacketBytes) * 8
@@ -241,6 +198,10 @@ func (c Config) netsim() (netsim.Config, error) {
 	cfg.NeighborIndex = spatial.Kind(c.NeighborIndex)
 	cfg.Faults = c.Faults.fault()
 	cfg.Motion = c.Motion.motion(c.FieldWidth, c.FieldHeight)
+	cfg, err = cfg.WithStrategy(c.Strategy.Name, c.Strategy.Params)
+	if err != nil {
+		return netsim.Config{}, fmt.Errorf("imobif: %w", err)
+	}
 	return cfg, nil
 }
 

@@ -36,6 +36,35 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigRejectsNonFinite sets each physical parameter to NaN (and the
+// range to +Inf): every validator the compiled config runs must reject it.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"TxA NaN", func(c *Config) { c.TxA = nan }},
+		{"TxB NaN", func(c *Config) { c.TxB = nan }},
+		{"PathLossExp NaN", func(c *Config) { c.PathLossExp = nan }},
+		{"MobilityCost NaN", func(c *Config) { c.MobilityCost = nan }},
+		{"MaxStepMeters NaN", func(c *Config) { c.MaxStepMeters = nan }},
+		{"EstimateScale NaN", func(c *Config) { c.EstimateScale = nan }},
+		{"FlowRateBytesPerSec NaN", func(c *Config) { c.FlowRateBytesPerSec = nan }},
+		{"Range NaN", func(c *Config) { c.Range = nan }},
+		{"Range +Inf", func(c *Config) { c.Range = inf }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tt.mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Error("want validation error")
+			}
+		})
+	}
+}
+
 func TestNewRandomNetworkDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	a, err := NewRandomNetwork(cfg, 7)
@@ -183,6 +212,9 @@ func TestAddFlowPath(t *testing.T) {
 	}
 	if _, err := sim.AddFlowPath([]int{0}, 1024); err == nil {
 		t.Error("single-node path should error")
+	}
+	if _, err := sim.AddFlowPath([]int{0, 9, 4}, 1024); err == nil {
+		t.Error("path through a node not in the network should error")
 	}
 	res, err := sim.Run()
 	if err != nil {

@@ -36,15 +36,16 @@ func DefaultTxModel() TxModel {
 	return TxModel{A: 1e-7, B: 1e-10, Alpha: 2}
 }
 
-// Validate reports whether the model parameters are physically meaningful.
+// Validate reports whether the model parameters are physically meaningful
+// (and finite: the comparisons are written so that NaN fails them).
 func (m TxModel) Validate() error {
 	switch {
-	case m.A < 0:
-		return fmt.Errorf("energy: negative electronics cost A=%v", m.A)
-	case m.B <= 0:
-		return fmt.Errorf("energy: non-positive amplifier coefficient B=%v", m.B)
-	case m.Alpha < 1:
-		return fmt.Errorf("energy: path-loss exponent Alpha=%v below 1", m.Alpha)
+	case !(m.A >= 0 && m.A <= math.MaxFloat64):
+		return fmt.Errorf("energy: electronics cost A=%v is not finite and non-negative", m.A)
+	case !(m.B > 0 && m.B <= math.MaxFloat64):
+		return fmt.Errorf("energy: amplifier coefficient B=%v is not finite and positive", m.B)
+	case !(m.Alpha >= 1 && m.Alpha <= math.MaxFloat64):
+		return fmt.Errorf("energy: path-loss exponent Alpha=%v is not finite and at least 1", m.Alpha)
 	default:
 		return nil
 	}
@@ -96,10 +97,11 @@ type MobilityModel struct {
 	K float64
 }
 
-// Validate reports whether the mobility model is physically meaningful.
+// Validate reports whether the mobility model is physically meaningful
+// (and finite: NaN fails the comparison).
 func (m MobilityModel) Validate() error {
-	if m.K < 0 {
-		return fmt.Errorf("energy: negative mobility cost K=%v", m.K)
+	if !(m.K >= 0 && m.K <= math.MaxFloat64) {
+		return fmt.Errorf("energy: mobility cost K=%v is not finite and non-negative", m.K)
 	}
 	return nil
 }
@@ -235,8 +237,8 @@ func NewPowerTable(model TxModel, maxDist float64, entries int) (*PowerTable, er
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if maxDist <= 0 {
-		return nil, fmt.Errorf("energy: non-positive table range %v", maxDist)
+	if !(maxDist > 0 && maxDist <= math.MaxFloat64) {
+		return nil, fmt.Errorf("energy: table range %v is not finite and positive", maxDist)
 	}
 	if entries < 2 {
 		return nil, fmt.Errorf("energy: power table needs >= 2 entries, got %d", entries)

@@ -97,6 +97,9 @@ func TestTxModelValidate(t *testing.T) {
 		{"zero B", TxModel{A: 1e-7, B: 0, Alpha: 2}, true},
 		{"alpha below 1", TxModel{A: 1e-7, B: 1e-10, Alpha: 0.5}, true},
 		{"zero A ok", TxModel{A: 0, B: 1e-10, Alpha: 2}, false},
+		{"NaN A", TxModel{A: math.NaN(), B: 1e-10, Alpha: 2}, true},
+		{"infinite B", TxModel{A: 1e-7, B: math.Inf(1), Alpha: 2}, true},
+		{"NaN alpha", TxModel{A: 1e-7, B: 1e-10, Alpha: math.NaN()}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -118,8 +121,10 @@ func TestMobilityModel(t *testing.T) {
 	if got := m.MoveEnergy(-3); got != 0 {
 		t.Errorf("MoveEnergy(-3) = %v, want 0", got)
 	}
-	if err := (MobilityModel{K: -1}).Validate(); err == nil {
-		t.Error("negative K should fail validation")
+	for _, k := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (MobilityModel{K: k}).Validate(); err == nil {
+			t.Errorf("K=%v should fail validation", k)
+		}
 	}
 	if err := (MobilityModel{K: 0}).Validate(); err != nil {
 		t.Errorf("zero K (free movement) should be valid, got %v", err)
@@ -266,8 +271,10 @@ func TestPowerTable(t *testing.T) {
 
 func TestPowerTableErrors(t *testing.T) {
 	m := DefaultTxModel()
-	if _, err := NewPowerTable(m, 0, 10); err == nil {
-		t.Error("zero range should error")
+	for _, r := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := NewPowerTable(m, r, 10); err == nil {
+			t.Errorf("range %v should error", r)
+		}
 	}
 	if _, err := NewPowerTable(m, 100, 1); err == nil {
 		t.Error("single entry should error")

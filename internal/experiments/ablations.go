@@ -244,7 +244,7 @@ func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlo
 	if flowsPerWorld < 1 {
 		return MultiFlowResult{}, fmt.Errorf("experiments: flowsPerWorld %d below 1", flowsPerWorld)
 	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return MultiFlowResult{}, err
 	}
@@ -262,7 +262,9 @@ func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlo
 		// One placement hosts all flows of this world.
 		host := instances[i]
 		runWorld := func(mode netsim.Mode) (netsim.Result, int, error) {
-			w, err := netsim.NewWorld(p.netsimConfig(strat, mode), host.Positions, host.Energies)
+			run := cfg
+			run.Mode = mode
+			w, err := netsim.NewWorld(run, host.Positions, host.Energies)
 			if err != nil {
 				return netsim.Result{}, 0, err
 			}

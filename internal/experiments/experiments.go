@@ -210,49 +210,36 @@ func ParamsFig8() Params {
 	return p
 }
 
-// Validate checks the parameters.
+// Validate checks the parameters, including compiling the world
+// configuration they describe.
 func (p Params) Validate() error {
+	_, err := p.config()
+	return err
+}
+
+// config validates the parameters and compiles them into the world
+// configuration every run of a sweep starts from, through netsim's one
+// compile path (WithStrategy). The drivers set Mode (and, where a run
+// compares strategies, Strategy) per run; packet size and rate stay at
+// the netsim defaults.
+func (p Params) config() (netsim.Config, error) {
 	switch {
 	case p.Flows < 1:
-		return fmt.Errorf("experiments: need at least one flow, got %d", p.Flows)
+		return netsim.Config{}, fmt.Errorf("experiments: need at least one flow, got %d", p.Flows)
 	case p.Nodes < 2:
-		return fmt.Errorf("experiments: need at least two nodes, got %d", p.Nodes)
+		return netsim.Config{}, fmt.Errorf("experiments: need at least two nodes, got %d", p.Nodes)
 	case p.FieldW <= 0 || p.FieldH <= 0:
-		return fmt.Errorf("experiments: empty field %vx%v", p.FieldW, p.FieldH)
-	case p.Range <= 0:
-		return fmt.Errorf("experiments: non-positive range %v", p.Range)
+		return netsim.Config{}, fmt.Errorf("experiments: empty field %vx%v", p.FieldW, p.FieldH)
 	case p.MeanFlowBits <= 0:
-		return fmt.Errorf("experiments: non-positive mean flow length %v", p.MeanFlowBits)
+		return netsim.Config{}, fmt.Errorf("experiments: non-positive mean flow length %v", p.MeanFlowBits)
 	case p.EnergyLo <= 0 || p.EnergyHi < p.EnergyLo:
-		return fmt.Errorf("experiments: bad energy range [%v, %v]", p.EnergyLo, p.EnergyHi)
+		return netsim.Config{}, fmt.Errorf("experiments: bad energy range [%v, %v]", p.EnergyLo, p.EnergyHi)
 	case p.MinPathLen < 2:
-		return fmt.Errorf("experiments: MinPathLen %d below 2", p.MinPathLen)
+		return netsim.Config{}, fmt.Errorf("experiments: MinPathLen %d below 2", p.MinPathLen)
 	}
-	return p.Tx.Validate()
-}
-
-// strategy materializes the configured strategy through the plug-in
-// registry, with the full environment (radio model, range, power table
-// for α′ fits, locomotion model for lookahead strategies).
-func (p Params) strategy() (mobility.Strategy, error) {
-	table, err := energy.NewPowerTable(p.Tx, p.Range, 256)
-	if err != nil {
-		return nil, err
-	}
-	return mobility.New(p.StrategyName, mobility.Env{
-		Tx:       p.Tx,
-		Range:    p.Range,
-		Table:    table,
-		Mobility: energy.MobilityModel{K: p.K},
-	}, p.StrategyParams)
-}
-
-func (p Params) netsimConfig(strat mobility.Strategy, mode netsim.Mode) netsim.Config {
 	cfg := netsim.DefaultConfig()
 	cfg.Radio = radio.Config{Tx: p.Tx, Range: p.Range, ChargeControl: p.ChargeControl}
 	cfg.Mobility = energy.MobilityModel{K: p.K}
-	cfg.Strategy = strat
-	cfg.Mode = mode
 	cfg.MaxStep = p.MaxStep
 	cfg.EstimateScale = p.EstimateScale
 	cfg.StopOnFirstDeath = p.StopOnFirstDeath
@@ -261,7 +248,7 @@ func (p Params) netsimConfig(strat mobility.Strategy, mode netsim.Mode) netsim.C
 	if p.Planner != nil {
 		cfg.Planner = p.Planner
 	}
-	return cfg
+	return cfg.WithStrategy(p.StrategyName, p.StrategyParams)
 }
 
 // Instance is one Monte-Carlo flow instance: a placement, initial
@@ -369,9 +356,10 @@ func GenInstancesCtx(ctx context.Context, p Params) ([]Instance, error) {
 	return instances, err
 }
 
-// runMode executes one instance under one mode.
-func runMode(p Params, strat mobility.Strategy, inst Instance, mode netsim.Mode) (netsim.Result, error) {
-	w, err := netsim.NewWorld(p.netsimConfig(strat, mode), inst.Positions, inst.Energies)
+// runMode executes one instance under one mode of the sweep's config.
+func runMode(cfg netsim.Config, inst Instance, mode netsim.Mode) (netsim.Result, error) {
+	cfg.Mode = mode
+	w, err := netsim.NewWorld(cfg, inst.Positions, inst.Energies)
 	if err != nil {
 		return netsim.Result{}, err
 	}
@@ -417,20 +405,20 @@ type Fig6Result struct {
 
 // fig6Trial runs one Monte-Carlo trial of a Figure 6 panel: generate the
 // trial's instance and execute it under all three modes.
-func fig6Trial(p Params, strat mobility.Strategy, trial int) (EnergyRow, error) {
+func fig6Trial(p Params, cfg netsim.Config, trial int) (EnergyRow, error) {
 	inst, err := GenInstance(p, trial)
 	if err != nil {
 		return EnergyRow{}, err
 	}
-	base, err := runMode(p, strat, inst, netsim.ModeNoMobility)
+	base, err := runMode(cfg, inst, netsim.ModeNoMobility)
 	if err != nil {
 		return EnergyRow{}, err
 	}
-	cu, err := runMode(p, strat, inst, netsim.ModeCostUnaware)
+	cu, err := runMode(cfg, inst, netsim.ModeCostUnaware)
 	if err != nil {
 		return EnergyRow{}, err
 	}
-	inf, err := runMode(p, strat, inst, netsim.ModeInformed)
+	inf, err := runMode(cfg, inst, netsim.ModeInformed)
 	if err != nil {
 		return EnergyRow{}, err
 	}
@@ -457,15 +445,12 @@ func RunFig6(p Params, variant string) (Fig6Result, error) {
 // RunFig6Ctx is RunFig6 with cancellation: canceling ctx aborts the
 // sweep, as does the first trial error.
 func RunFig6Ctx(ctx context.Context, p Params, variant string) (Fig6Result, error) {
-	if err := p.Validate(); err != nil {
-		return Fig6Result{}, err
-	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return Fig6Result{}, err
 	}
 	rows, sw, err := runSweep(ctx, p, "fig6"+variant, func(_ context.Context, trial int) (EnergyRow, error) {
-		return fig6Trial(p, strat, trial)
+		return fig6Trial(p, cfg, trial)
 	})
 	if err != nil {
 		return Fig6Result{}, err
@@ -534,10 +519,7 @@ func RunFig7(p Params) (Fig7Result, error) {
 
 // RunFig7Ctx is RunFig7 with cancellation.
 func RunFig7Ctx(ctx context.Context, p Params) (Fig7Result, error) {
-	if err := p.Validate(); err != nil {
-		return Fig7Result{}, err
-	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return Fig7Result{}, err
 	}
@@ -546,7 +528,7 @@ func RunFig7Ctx(ctx context.Context, p Params) (Fig7Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		r, err := runMode(p, strat, inst, netsim.ModeInformed)
+		r, err := runMode(cfg, inst, netsim.ModeInformed)
 		if err != nil {
 			return 0, err
 		}
@@ -602,10 +584,7 @@ func RunFig8(p Params) (Fig8Result, error) {
 
 // RunFig8Ctx is RunFig8 with cancellation.
 func RunFig8Ctx(ctx context.Context, p Params) (Fig8Result, error) {
-	if err := p.Validate(); err != nil {
-		return Fig8Result{}, err
-	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return Fig8Result{}, err
 	}
@@ -614,15 +593,15 @@ func RunFig8Ctx(ctx context.Context, p Params) (Fig8Result, error) {
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		base, err := runMode(p, strat, inst, netsim.ModeNoMobility)
+		base, err := runMode(cfg, inst, netsim.ModeNoMobility)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		cu, err := runMode(p, strat, inst, netsim.ModeCostUnaware)
+		cu, err := runMode(cfg, inst, netsim.ModeCostUnaware)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		inf, err := runMode(p, strat, inst, netsim.ModeInformed)
+		inf, err := runMode(cfg, inst, netsim.ModeInformed)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
@@ -682,14 +661,16 @@ type Fig5Result struct {
 // (cost-unaware mode isolates placement from the enable/disable logic, as
 // the paper's snapshots do) and returns the three topology views.
 func RunFig5(p Params) (Fig5Result, error) {
-	if err := p.Validate(); err != nil {
+	cfg, err := p.config()
+	if err != nil {
 		return Fig5Result{}, err
 	}
+	cfg.Mode = netsim.ModeCostUnaware
+	cfg.StopOnFirstDeath = false
 	p.Flows = 1
 	p.MeanFlowBits = 8e7 // long enough to converge
 	p.MaxFlowBits = 8e7
 	p.EnergyLo, p.EnergyHi = 5e3, 1e4
-	p.StopOnFirstDeath = false
 	instances, err := GenInstances(p)
 	if err != nil {
 		return Fig5Result{}, err
@@ -706,17 +687,12 @@ func RunFig5(p Params) (Fig5Result, error) {
 	res.OrigCollinearity = geom.Collinearity(res.Original)
 	res.OrigSpacingCV = geom.SpacingVariation(res.Original)
 
-	table, err := energy.NewPowerTable(p.Tx, p.Range, 256)
-	if err != nil {
-		return Fig5Result{}, err
-	}
-	alpha, err := table.FitAlphaPrime()
-	if err != nil {
-		return Fig5Result{}, err
-	}
-
-	runWith := func(strat mobility.Strategy) ([]geom.Point, error) {
-		w, err := netsim.NewWorld(p.netsimConfig(strat, netsim.ModeCostUnaware), inst.Positions, inst.Energies)
+	runWith := func(strategy string) ([]geom.Point, error) {
+		run, err := cfg.WithStrategy(strategy, nil)
+		if err != nil {
+			return nil, err
+		}
+		w, err := netsim.NewWorld(run, inst.Positions, inst.Energies)
 		if err != nil {
 			return nil, err
 		}
@@ -733,10 +709,10 @@ func RunFig5(p Params) (Fig5Result, error) {
 		return w.PathSnapshot(id)
 	}
 
-	if res.MinEnergy, err = runWith(mobility.MinEnergy{}); err != nil {
+	if res.MinEnergy, err = runWith(mobility.MinEnergy{}.Name()); err != nil {
 		return Fig5Result{}, err
 	}
-	if res.MaxLifetime, err = runWith(mobility.MaxLifetime{AlphaPrime: alpha}); err != nil {
+	if res.MaxLifetime, err = runWith(mobility.MaxLifetime{}.Name()); err != nil {
 		return Fig5Result{}, err
 	}
 	res.MinECollinearity = geom.Collinearity(res.MinEnergy)

@@ -13,7 +13,6 @@ import (
 	"context"
 
 	"repro/internal/metrics"
-	"repro/internal/mobility"
 	"repro/internal/motion"
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -100,18 +99,19 @@ type mobilityRow struct {
 // cell. The instance depends only on (p.Seed, trial) — not on the cell —
 // so every cell sees identical placements, energies, and flows: a paired
 // comparison. The ambient-motion layer gets its own per-trial stream
-// derived from the motion seed, never from the instance stream.
-func mobilityTrial(p Params, strat mobility.Strategy, trial int) (mobilityRow, error) {
+// derived from the cell config's motion seed, never from the instance
+// stream.
+func mobilityTrial(p Params, cfg netsim.Config, trial int) (mobilityRow, error) {
 	inst, err := GenInstance(p, trial)
 	if err != nil {
 		return mobilityRow{}, err
 	}
-	if p.Motion.Enabled() {
-		mc := *p.Motion
+	if cfg.Motion.Enabled() {
+		mc := *cfg.Motion
 		mc.Seed = int64(sweep.DeriveSeed(mc.Seed, uint64(trial)))
-		p.Motion = &mc
+		cfg.Motion = &mc
 	}
-	res, err := runMode(p, strat, inst, netsim.ModeInformed)
+	res, err := runMode(cfg, inst, netsim.ModeInformed)
 	if err != nil {
 		return mobilityRow{}, err
 	}
@@ -150,17 +150,14 @@ func RunMobilityModelsCtx(ctx context.Context, p Params) (MobilityResult, error)
 		mc.Model = model
 		mc.FieldW, mc.FieldH = p.FieldW, p.FieldH
 		pm.Motion = &mc
-		if err := pm.Motion.Validate(); err != nil {
-			return MobilityResult{}, err
-		}
 		for _, name := range MobilityStrategies() {
 			pm.StrategyName = name
-			strat, err := pm.strategy()
+			cfg, err := pm.config()
 			if err != nil {
 				return MobilityResult{}, err
 			}
 			rows, sw, err := sweep.Map(ctx, pm.runner(), pm.Flows, func(_ context.Context, trial int) (mobilityRow, error) {
-				return mobilityTrial(pm, strat, trial)
+				return mobilityTrial(pm, cfg, trial)
 			})
 			if err != nil {
 				return MobilityResult{}, err

@@ -206,32 +206,28 @@ func RunRelayRecruitment(p Params) (RecruitmentResult, error) {
 
 // RunRelayRecruitmentCtx is RunRelayRecruitment with cancellation.
 func RunRelayRecruitmentCtx(ctx context.Context, p Params) (RecruitmentResult, error) {
-	if err := p.Validate(); err != nil {
-		return RecruitmentResult{}, err
-	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return RecruitmentResult{}, err
 	}
-	mob := energy.MobilityModel{K: p.K}
 	trials, sw, err := sweep.Map(ctx, p.runner(), p.Flows, func(_ context.Context, trial int) (recruitTrial, error) {
 		inst, err := GenInstance(p, trial)
 		if err != nil {
 			return recruitTrial{}, err
 		}
-		base, err := runMode(p, strat, inst, netsim.ModeNoMobility)
+		base, err := runMode(cfg, inst, netsim.ModeNoMobility)
 		if err != nil {
 			return recruitTrial{}, err
 		}
-		informed, err := runMode(p, strat, inst, netsim.ModeInformed)
+		informed, err := runMode(cfg, inst, netsim.ModeInformed)
 		if err != nil {
 			return recruitTrial{}, err
 		}
-		plan, err := PlanRecruitment(p.Tx, mob, inst.Positions, inst.Src, inst.Dst, p.Range)
+		plan, err := PlanRecruitment(p.Tx, cfg.Mobility, inst.Positions, inst.Src, inst.Dst, p.Range)
 		if err != nil {
 			return recruitTrial{skipped: true}, nil
 		}
-		recruited, ok, err := runRecruited(p, inst, plan)
+		recruited, ok, err := runRecruited(cfg, inst, plan)
 		if err != nil {
 			return recruitTrial{}, err
 		}
@@ -270,9 +266,9 @@ func RunRelayRecruitmentCtx(ctx context.Context, p Params) (RecruitmentResult, e
 
 // runRecruited deploys the plan (moving recruited nodes to their slots and
 // charging locomotion up front) and runs the flow over the recruited chain
-// without further mobility. It reports ok=false when a recruited node
-// cannot afford its deployment move.
-func runRecruited(p Params, inst Instance, plan RecruitmentPlan) (total float64, ok bool, err error) {
+// of the sweep's config without further mobility. It reports ok=false
+// when a recruited node cannot afford its deployment move.
+func runRecruited(cfg netsim.Config, inst Instance, plan RecruitmentPlan) (total float64, ok bool, err error) {
 	positions := append([]geom.Point(nil), inst.Positions...)
 	energies := append([]float64(nil), inst.Energies...)
 	for i, id := range plan.Relays {
@@ -286,7 +282,7 @@ func runRecruited(p Params, inst Instance, plan RecruitmentPlan) (total float64,
 	path := append([]int{inst.Src}, plan.Relays...)
 	path = append(path, inst.Dst)
 
-	cfg := p.netsimConfig(mobility.Stationary{}, netsim.ModeNoMobility)
+	cfg.Strategy, cfg.Mode = mobility.Stationary{}, netsim.ModeNoMobility
 	w, err := netsim.NewWorld(cfg, positions, energies)
 	if err != nil {
 		return 0, false, err

@@ -136,15 +136,15 @@ type strategyRow struct {
 // tiered energies, and flows: a fully paired comparison. The fault
 // injector gets its own per-trial stream derived from the regime's
 // fault seed, never from the instance stream.
-func strategyTrial(p Params, strat mobility.Strategy, trial int) (strategyRow, error) {
+func strategyTrial(p Params, cfg netsim.Config, trial int) (strategyRow, error) {
 	inst, err := GenInstance(p, trial)
 	if err != nil {
 		return strategyRow{}, err
 	}
-	if p.Faults != nil {
-		fc := *p.Faults
+	if cfg.Faults != nil {
+		fc := *cfg.Faults
 		fc.Seed = int64(sweep.DeriveSeed(fc.Seed, uint64(trial)))
-		p.Faults = &fc
+		cfg.Faults = &fc
 	}
 	// Route selection is part of the strategy under comparison (the
 	// max-lifetime-routing baseline is *only* route selection), so drop
@@ -152,7 +152,7 @@ func strategyTrial(p Params, strat mobility.Strategy, trial int) (strategyRow, e
 	// planner its strategy provides. Endpoints, placements, and energies
 	// stay shared, so the comparison remains paired.
 	inst.Path = nil
-	res, err := runMode(p, strat, inst, netsim.ModeInformed)
+	res, err := runMode(cfg, inst, netsim.ModeInformed)
 	if err != nil {
 		return strategyRow{}, err
 	}
@@ -197,12 +197,12 @@ func RunStrategyComparisonCtx(ctx context.Context, p Params) (StrategyResult, er
 			pc.StrategyName = name
 			pc.StrategyParams = nil
 			pc.Faults = reg.Faults
-			strat, err := pc.strategy()
+			cfg, err := pc.config()
 			if err != nil {
 				return StrategyResult{}, err
 			}
 			rows, sw, err := sweep.Map(ctx, pc.runner(), pc.Flows, func(_ context.Context, trial int) (strategyRow, error) {
-				return strategyTrial(pc, strat, trial)
+				return strategyTrial(pc, cfg, trial)
 			})
 			if err != nil {
 				return StrategyResult{}, err

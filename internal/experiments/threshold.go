@@ -46,7 +46,7 @@ func RunThresholdSweepCtx(ctx context.Context, p Params, lengths []float64) ([]T
 	if len(lengths) == 0 {
 		return nil, fmt.Errorf("experiments: no sweep lengths")
 	}
-	strat, err := p.strategy()
+	cfg, err := p.config()
 	if err != nil {
 		return nil, err
 	}
@@ -62,15 +62,15 @@ func RunThresholdSweepCtx(ctx context.Context, p Params, lengths []float64) ([]T
 		samples, _, err := sweep.Map(ctx, p.runner(), len(instances), func(_ context.Context, trial int) (thresholdSample, error) {
 			fixed := instances[trial]
 			fixed.FlowBits = bits
-			base, err := runMode(p, strat, fixed, netsim.ModeNoMobility)
+			base, err := runMode(cfg, fixed, netsim.ModeNoMobility)
 			if err != nil {
 				return thresholdSample{}, err
 			}
-			cuRes, err := runMode(p, strat, fixed, netsim.ModeCostUnaware)
+			cuRes, err := runMode(cfg, fixed, netsim.ModeCostUnaware)
 			if err != nil {
 				return thresholdSample{}, err
 			}
-			infRes, err := runMode(p, strat, fixed, netsim.ModeInformed)
+			infRes, err := runMode(cfg, fixed, netsim.ModeInformed)
 			if err != nil {
 				return thresholdSample{}, err
 			}

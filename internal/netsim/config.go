@@ -15,6 +15,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/fault"
@@ -58,6 +59,16 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseMode is the inverse of String: it maps a mode name to its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m := ModeNoMobility; m <= ModeInformed; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("netsim: unknown mode %q (want no-mobility, cost-unaware or informed)", name)
 }
 
 // Config parameterizes a World. DefaultConfig returns the reconstructed
@@ -178,6 +189,29 @@ func DefaultConfig() Config {
 	}
 }
 
+// WithStrategy resolves the registered strategy name with params against
+// the config's own models (the registry Env: Radio.Tx, Radio.Range, a
+// 256-entry power table over the range, Mobility) and returns the config
+// running it, validated. Together with ParseMode it is the one path by
+// which a surface's model fields (imobif.Config, the scenario document,
+// experiments.Params) become a runnable config.
+func (c Config) WithStrategy(name string, params mobility.Params) (Config, error) {
+	table, err := energy.NewPowerTable(c.Radio.Tx, c.Radio.Range, 256)
+	if err != nil {
+		return Config{}, err
+	}
+	c.Strategy, err = mobility.New(name, mobility.Env{
+		Tx: c.Radio.Tx, Range: c.Radio.Range, Table: table, Mobility: c.Mobility,
+	}, params)
+	if err != nil {
+		return Config{}, err
+	}
+	if err := c.Validate(); err != nil {
+		return Config{}, err
+	}
+	return c, nil
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Radio.Validate(); err != nil {
@@ -194,17 +228,18 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("netsim: invalid mode %d", c.Mode)
 	}
-	if c.MaxStep < 0 {
-		return fmt.Errorf("netsim: negative max step %v", c.MaxStep)
+	// The comparisons are written so that NaN fails them.
+	if !(c.MaxStep >= 0 && c.MaxStep <= math.MaxFloat64) {
+		return fmt.Errorf("netsim: max step %v is not finite and non-negative", c.MaxStep)
 	}
-	if c.PacketBits <= 0 {
-		return fmt.Errorf("netsim: non-positive packet size %v", c.PacketBits)
+	if !(c.PacketBits > 0 && c.PacketBits <= math.MaxFloat64) {
+		return fmt.Errorf("netsim: packet size %v is not finite and positive", c.PacketBits)
 	}
-	if c.FlowRateBps <= 0 {
-		return fmt.Errorf("netsim: non-positive flow rate %v", c.FlowRateBps)
+	if !(c.FlowRateBps > 0 && c.FlowRateBps <= math.MaxFloat64) {
+		return fmt.Errorf("netsim: flow rate %v is not finite and positive", c.FlowRateBps)
 	}
-	if c.EstimateScale <= 0 {
-		return fmt.Errorf("netsim: non-positive estimate scale %v", c.EstimateScale)
+	if !(c.EstimateScale > 0 && c.EstimateScale <= math.MaxFloat64) {
+		return fmt.Errorf("netsim: estimate scale %v is not finite and positive", c.EstimateScale)
 	}
 	if c.Planner == nil {
 		return errors.New("netsim: nil planner")

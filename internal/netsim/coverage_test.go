@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -23,6 +25,11 @@ func TestConfigValidateBranches(t *testing.T) {
 		{"zero estimate", func(c *Config) { c.EstimateScale = 0 }},
 		{"nil planner", func(c *Config) { c.Planner = nil }},
 		{"zero horizon", func(c *Config) { c.Horizon = 0 }},
+		{"NaN rx cost", func(c *Config) { c.Radio.RxPerBit = math.NaN() }},
+		{"infinite step", func(c *Config) { c.MaxStep = math.Inf(1) }},
+		{"NaN packet", func(c *Config) { c.PacketBits = math.NaN() }},
+		{"infinite rate", func(c *Config) { c.FlowRateBps = math.Inf(1) }},
+		{"NaN estimate", func(c *Config) { c.EstimateScale = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -45,6 +52,45 @@ func TestConfigValidateBranches(t *testing.T) {
 	// The planner field round-trips.
 	if cfg.Planner.Name() != (routing.GreedyPlanner{}).Name() {
 		t.Errorf("default planner = %q", cfg.Planner.Name())
+	}
+}
+
+// TestCompilePath covers the one compile path: ParseMode inverts String,
+// and WithStrategy resolves a registered strategy against the config's
+// own models, rejecting unknown names, bad params and invalid configs.
+func TestCompilePath(t *testing.T) {
+	for _, m := range []Mode{ModeNoMobility, ModeCostUnaware, ModeInformed} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseMode("Mode(0)"); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf("ParseMode of an unknown name: %v", err)
+	}
+	cfg, err := DefaultConfig().WithStrategy("max-lifetime", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ml, ok := cfg.Strategy.(mobility.MaxLifetime); !ok || !(ml.AlphaPrime > 0) {
+		t.Errorf("WithStrategy(max-lifetime) = %#v", cfg.Strategy)
+	}
+	badTx, badHorizon := DefaultConfig(), DefaultConfig()
+	badTx.Radio.Tx.B = 0
+	badHorizon.Horizon = 0
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		strategy string
+		params   mobility.Params
+	}{
+		{"unknown name", DefaultConfig(), "warp-drive", nil},
+		{"bad param", DefaultConfig(), "min-energy", mobility.Params{"x": 1}},
+		{"bad tx", badTx, "min-energy", nil},
+		{"bad config", badHorizon, "min-energy", nil},
+	} {
+		if _, err := tc.cfg.WithStrategy(tc.strategy, tc.params); err == nil {
+			t.Errorf("%s: WithStrategy accepted", tc.name)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package radio
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
@@ -78,11 +79,12 @@ func (c Config) Validate() error {
 	if err := c.Tx.Validate(); err != nil {
 		return err
 	}
-	if c.Range <= 0 {
-		return fmt.Errorf("radio: non-positive range %v", c.Range)
+	// The comparisons are written so that NaN fails them.
+	if !(c.Range > 0 && c.Range <= math.MaxFloat64) {
+		return fmt.Errorf("radio: range %v is not finite and positive", c.Range)
 	}
-	if c.RxPerBit < 0 {
-		return fmt.Errorf("radio: negative rx cost %v", c.RxPerBit)
+	if !(c.RxPerBit >= 0 && c.RxPerBit <= math.MaxFloat64) {
+		return fmt.Errorf("radio: rx cost %v is not finite and non-negative", c.RxPerBit)
 	}
 	return nil
 }

@@ -151,8 +151,9 @@ func (p MaxLifetimePlanner) PlanRouteEnergy(g *topo.Graph, energies []float64, s
 // Name implements Planner.
 func (p MaxLifetimePlanner) Name() string { return "maxlifetime" }
 
-// ValidateRoute checks that a path is well-formed over the graph: no
-// repeats, consecutive nodes in range, endpoints as requested.
+// ValidateRoute checks that a path is well-formed over the graph: every
+// node in the graph, no repeats, consecutive nodes in range, endpoints as
+// requested.
 func ValidateRoute(g *topo.Graph, path []NodeID, src, dst NodeID) error {
 	if len(path) == 0 {
 		return errors.New("routing: empty path")
@@ -165,6 +166,9 @@ func ValidateRoute(g *topo.Graph, path []NodeID, src, dst NodeID) error {
 	}
 	seen := make(map[NodeID]bool, len(path))
 	for i, id := range path {
+		if id < 0 || id >= g.Len() {
+			return fmt.Errorf("routing: path node %d not in the graph's [0,%d)", id, g.Len())
+		}
 		if seen[id] {
 			return fmt.Errorf("routing: node %d repeats in path", id)
 		}

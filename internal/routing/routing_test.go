@@ -102,6 +102,8 @@ func TestValidateRoute(t *testing.T) {
 		{"repeat", []NodeID{0, 1, 0, 1, 2, 3}, 0, 3, true},
 		{"out of range hop", []NodeID{0, 3}, 0, 3, true},
 		{"single node", []NodeID{2}, 2, 2, false},
+		{"node not in graph", []NodeID{0, 7, 3}, 0, 3, true},
+		{"negative node", []NodeID{0, -1, 3}, 0, 3, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzScenarioJSON fuzzes the scenario loader: arbitrary input must
-// never panic — it either parses into a scenario that passes Validate
-// (Load validates before returning) or yields an error. The example
-// scenarios shipped in the repo seed the corpus.
+// never panic — it either parses into a scenario that compiles to a
+// valid world config (so Build cannot reject its model fields) or yields
+// an error. The example scenarios shipped in the repo seed the corpus.
 func FuzzScenarioJSON(f *testing.F) {
 	for _, name := range []string{"chain.json", "lifetime.json", "mobility.json"} {
 		if data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", name)); err == nil {
@@ -46,9 +46,9 @@ func FuzzScenarioJSON(f *testing.F) {
 			}
 			return
 		}
-		// A scenario Load accepted must be internally consistent.
-		if err := s.Validate(); err != nil {
-			t.Fatalf("Load accepted a scenario that fails Validate: %v\ninput: %s", err, data)
+		// A scenario Load accepted must compile to a world config.
+		if _, err := s.config(); err != nil {
+			t.Fatalf("Load accepted a scenario that does not compile: %v\ninput: %s", err, data)
 		}
 	})
 }

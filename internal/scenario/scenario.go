@@ -334,6 +334,11 @@ func (s *Scenario) Validate() error {
 	if len(s.Nodes) > 0 && s.RandomNodes != nil {
 		return errors.New("scenario: set either nodes or random_nodes, not both")
 	}
+	for i, nd := range s.Nodes {
+		if nd.Joules < 0 {
+			return fmt.Errorf("scenario: node %d has negative energy %v", i, nd.Joules)
+		}
+	}
 	if s.RandomNodes != nil {
 		r := s.RandomNodes
 		if r.Count < 2 || r.FieldW <= 0 || r.FieldH <= 0 || r.EnergyLo <= 0 || r.EnergyHi < r.EnergyLo {
@@ -363,6 +368,14 @@ func (s *Scenario) Validate() error {
 		if len(f.Path) > 0 && f.UseAODV {
 			return fmt.Errorf("scenario: flow %d sets both path and use_aodv", i)
 		}
+		if len(f.Path) > 0 && (f.Path[0] != f.Src || f.Path[len(f.Path)-1] != f.Dst) {
+			return fmt.Errorf("scenario: flow %d path %v does not run from src %d to dst %d", i, f.Path, f.Src, f.Dst)
+		}
+		for _, id := range f.Path {
+			if id < 0 || id >= n {
+				return fmt.Errorf("scenario: flow %d path node %d out of range [0,%d)", i, id, n)
+			}
+		}
 	}
 	for i, fail := range s.Failures {
 		if fail.Node < 0 || fail.Node >= n {
@@ -377,14 +390,6 @@ func (s *Scenario) Validate() error {
 			if cr.Node < 0 || cr.Node >= n {
 				return fmt.Errorf("scenario: faults crash %d node %d out of range", i, cr.Node)
 			}
-		}
-		if err := s.Faults.config().Validate(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
-	if s.Motion != nil {
-		if err := s.motionConfig().Validate(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if s.Trials < 0 {
@@ -401,7 +406,11 @@ func (s *Scenario) Validate() error {
 			return errors.New("scenario: trace capture requires a single trial")
 		}
 	}
-	return nil
+	// The model fields (radio, locomotion, strategy, mode, faults,
+	// motion) are checked by compiling them, so whatever Build would
+	// reject is rejected here, before any trial runs.
+	_, err := s.config()
+	return err
 }
 
 // config converts the JSON spec to the motion layer's configuration,
@@ -468,20 +477,6 @@ func (f *FaultsSpec) config() *fault.Config {
 	return cfg
 }
 
-// mode maps the JSON mode name.
-func (s *Scenario) mode() (netsim.Mode, error) {
-	switch s.Mode {
-	case "no-mobility":
-		return netsim.ModeNoMobility, nil
-	case "cost-unaware":
-		return netsim.ModeCostUnaware, nil
-	case "informed":
-		return netsim.ModeInformed, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown mode %q", s.Mode)
-	}
-}
-
 // BuildOption adjusts the netsim configuration a scenario materializes
 // into, beyond what the JSON document itself expresses — observability
 // attachments for the service layer. Options run after the scenario's
@@ -501,30 +496,21 @@ func WithSampleInterval(seconds float64) BuildOption {
 	return func(cfg *netsim.Config) { cfg.SampleInterval = sim.Time(seconds) }
 }
 
-// Build materializes the scenario into a ready-to-run world.
-func (s *Scenario) Build(opts ...BuildOption) (*netsim.World, []netsim.NodeID, error) {
-	tx := energy.TxModel{A: s.TxA, B: s.TxB, Alpha: s.PathLossExp}
-	table, err := energy.NewPowerTable(tx, s.RangeMeters, 256)
+// config compiles the scenario's model fields into the world
+// configuration Build runs, through netsim's one compile path
+// (ParseMode, WithStrategy).
+func (s *Scenario) config() (netsim.Config, error) {
+	mode, err := netsim.ParseMode(s.Mode)
 	if err != nil {
-		return nil, nil, err
-	}
-	strat, err := mobility.New(s.Strategy.Name, mobility.Env{
-		Tx:       tx,
-		Range:    s.RangeMeters,
-		Table:    table,
-		Mobility: energy.MobilityModel{K: s.MobilityCost},
-	}, mobility.Params(s.Strategy.Params))
-	if err != nil {
-		return nil, nil, err
-	}
-	mode, err := s.mode()
-	if err != nil {
-		return nil, nil, err
+		return netsim.Config{}, fmt.Errorf("scenario: %w", err)
 	}
 	cfg := netsim.DefaultConfig()
-	cfg.Radio = radio.Config{Tx: tx, Range: s.RangeMeters, ChargeControl: s.ChargeControl}
+	cfg.Radio = radio.Config{
+		Tx:            energy.TxModel{A: s.TxA, B: s.TxB, Alpha: s.PathLossExp},
+		Range:         s.RangeMeters,
+		ChargeControl: s.ChargeControl,
+	}
 	cfg.Mobility = energy.MobilityModel{K: s.MobilityCost}
-	cfg.Strategy = strat
 	cfg.Mode = mode
 	cfg.MaxStep = s.MaxStepMeters
 	cfg.PacketBits = s.PacketBytes * 8
@@ -533,6 +519,19 @@ func (s *Scenario) Build(opts ...BuildOption) (*netsim.World, []netsim.NodeID, e
 	cfg.StopOnFirstDeath = s.StopOnFirstDeath
 	cfg.Faults = s.Faults.config()
 	cfg.Motion = s.motionConfig()
+	cfg, err = cfg.WithStrategy(s.Strategy.Name, s.Strategy.Params)
+	if err != nil {
+		return netsim.Config{}, fmt.Errorf("scenario: %w", err)
+	}
+	return cfg, nil
+}
+
+// Build materializes the scenario into a ready-to-run world.
+func (s *Scenario) Build(opts ...BuildOption) (*netsim.World, []netsim.NodeID, error) {
+	cfg, err := s.config()
+	if err != nil {
+		return nil, nil, err
+	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -142,6 +142,12 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 			"flows":[{"src":0,"dst":1,"length_kb":0}]}`},
 		{"infinite length in bits", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":1e306}]}`},
+		{"path node out of range", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,7,1]}]}`},
+		{"path ends off the flow", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[1,0]}]}`},
+		{"negative node energy", `{"nodes":[{"x":0,"y":0,"joules":-1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"path and aodv", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1],"use_aodv":true}]}`},
 		{"bad failure node", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
@@ -164,6 +170,20 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 		{"bad random spec", `{"random_nodes":{"count":1,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"too many random nodes", `{"random_nodes":{"count":100001,"field_w":10,"field_h":10,"energy_lo":1,"energy_hi":2},
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"unknown mode", `{"mode":"warp","nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative tx_a", `{"tx_a":-1,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative range", `{"range_meters":-5,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative max step", `{"max_step_meters":-1,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative estimate scale", `{"estimate_scale":-0.5,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative packet size", `{"packet_bytes":-1024,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"negative mobility cost", `{"mobility_cost_j_per_m":-0.5,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"garbage", `{`},
 	}

@@ -74,7 +74,8 @@ func TestStrategyParamsFingerprint(t *testing.T) {
 
 // TestStrategyStructuredBuild materializes structured specs end-to-end:
 // registered strategies with valid params build; unknown names, unknown
-// params, and out-of-range values fail with errors naming the problem.
+// params, and out-of-range values fail at Load (which compiles the
+// strategy) with errors naming the problem, so they never reach Build.
 func TestStrategyStructuredBuild(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -93,16 +94,15 @@ func TestStrategyStructuredBuild(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := strings.Replace(fpBase, `"name":"fp"`, `"name":"fp","strategy":`+tc.spec, 1)
-			s := load(t, doc)
-			_, _, err := s.Build()
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("Build: %v", err)
+			if tc.wantErr != "" {
+				_, err := Load(strings.NewReader(doc))
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Load error %v, want mention of %q", err, tc.wantErr)
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Build error %v, want mention of %q", err, tc.wantErr)
+			if _, _, err := load(t, doc).Build(); err != nil {
+				t.Fatalf("Build: %v", err)
 			}
 		})
 	}

@@ -270,6 +270,11 @@ func TestFailurePaths(t *testing.T) {
 		{"no flows", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[]}`, 400, "no flows"},
 		{"bad trials", "POST", "/v1/jobs", `{"trials":-2,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "trials"},
 		{"infinite flow length", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1e306}]}`, 400, "length"},
+		{"unknown mode", "POST", "/v1/jobs", `{"mode":"warp","nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "unknown mode"},
+		{"unknown strategy", "POST", "/v1/jobs", `{"strategy":"warp-drive","nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "unknown strategy"},
+		{"unknown strategy param", "POST", "/v1/jobs", `{"strategy":{"name":"rolling-horizon","params":{"warp":9}},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, `unknown parameter "warp"`},
+		{"negative tx_a", "POST", "/v1/jobs", `{"tx_a":-1,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "electronics cost"},
+		{"path node out of range", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,7,1]}]}`, 400, "path node 7"},
 		{"trace with trials", "POST", "/v1/jobs", `{"trials":3,"output":{"trace":true},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "single trial"},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", 404, "unknown job"},
 		{"unknown job delete", "DELETE", "/v1/jobs/job-999", "", 404, "unknown job"},
