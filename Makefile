@@ -79,8 +79,10 @@ bench:
 # zero-cost-when-off contract; the active rungs run to the horizon and
 # are too slow (and too scenario-dependent) for a ratchet. The retry
 # FaultOverhead rungs pin the allocation-free retry/ack transport; the
-# SpatialRows rung pins the allocation-free rebuild of neighbor rows.
-GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkFaultOverhead/(retry|lossy-retry)$$|BenchmarkSpatialRows/n100k$$
+# SpatialRows rung pins the allocation-free rebuild of neighbor rows. The
+# ServedJob rung pins a served-shaped job and its beacon-scans/op work
+# count, which benchgate gates exactly.
+GATED_BENCH = BenchmarkSimulationRun$$|BenchmarkSchedulerSteadyState$$|BenchmarkSweep/|BenchmarkServeSubmit$$|BenchmarkMotionOverhead/(off|stationary)$$|BenchmarkStrategyOverhead/|BenchmarkWorld100k/n5k|BenchmarkServedJob$$|BenchmarkFaultOverhead/(retry|lossy-retry)$$|BenchmarkSpatialRows/n100k$$
 GATE_FLAGS  = -run '^$$' -benchmem -count=3
 
 # GATE_BENCH_RUN emits the full gated corpus: the multi-count gated set

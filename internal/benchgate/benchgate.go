@@ -9,14 +9,18 @@
 // noise it aggregates repeated samples of the same benchmark (from
 // `-count=N`) by taking each side's best value, and only gates on units
 // whose direction it knows (ns/op, B/op, allocs/op: lower is better;
-// anything ending in "/s": higher is better). Unknown units such as
-// informational gauge metrics are ignored.
+// anything ending in "/s": higher is better). Any other unit ending in
+// "/op" is a deterministic work count (say, beacon-scans/op) and is
+// gated exactly: a count cannot flake, so any difference from the
+// baseline, either way, fails. Unknown units such as informational gauge
+// metrics are ignored.
 package benchgate
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,6 +123,29 @@ func direction(unit string) int {
 	return 0
 }
 
+// isCount reports whether unit is a deterministic work count: a custom
+// per-op unit, gated exactly.
+func isCount(unit string) bool {
+	return direction(unit) == 0 && strings.HasSuffix(unit, "/op")
+}
+
+// countDelta compares a work count's samples: every sample, baseline and
+// current, must equal the baseline's first. New is the first sample that
+// does not (the current run's first when all agree), and WorseBy its
+// relative difference in either direction.
+func countDelta(name, unit string, base, cur []float64) Delta {
+	d := Delta{Name: name, Unit: unit, Old: base[0], New: cur[0]}
+	for _, samples := range [][]float64{base, cur} {
+		for _, v := range samples {
+			if v != d.Old {
+				d.New, d.WorseBy = v, math.Abs(worseBy(d.Old, v, -1))
+				return d
+			}
+		}
+	}
+	return d
+}
+
 // best aggregates repeated samples into the side's most favorable value:
 // the minimum when lower is better, the maximum when higher is better.
 // Gating best-vs-best keeps one noisy outlier sample from failing (or
@@ -180,12 +207,20 @@ func Compare(base, cur *Set, threshold float64) (*Report, error) {
 		}
 		sort.Strings(units)
 		for _, unit := range units {
-			dir := direction(unit)
-			if dir == 0 {
-				continue
-			}
 			cs, ok := c.Samples[unit]
 			if !ok {
+				continue
+			}
+			if isCount(unit) {
+				if d := countDelta(name, unit, b.Samples[unit], cs); d.WorseBy != 0 {
+					rep.Regressions = append(rep.Regressions, d)
+				} else {
+					rep.Unchanged = append(rep.Unchanged, d)
+				}
+				continue
+			}
+			dir := direction(unit)
+			if dir == 0 {
 				continue
 			}
 			oldV := best(b.Samples[unit], dir)

@@ -181,6 +181,49 @@ func TestCompareRejectsBadThreshold(t *testing.T) {
 	}
 }
 
+// TestCompareCountsExact pins that a custom per-op unit is a work count
+// gated exactly: any difference from the baseline fails, however small
+// and in either direction, as does a baseline that itself varies, while
+// equal counts pass.
+func TestCompareCountsExact(t *testing.T) {
+	const base = "BenchmarkJob 	 10	 5000000 ns/op	 38634 beacon-scans/op	 2.5 nbrs/node\n"
+	cases := []struct {
+		name, base, cur string
+		fail            bool
+	}{
+		{"equal", base, base, false},
+		{"one more", base, "BenchmarkJob 	 10	 5000000 ns/op	 38635 beacon-scans/op	 2.5 nbrs/node\n", true},
+		{"fewer", base, "BenchmarkJob 	 10	 5000000 ns/op	 30000 beacon-scans/op	 2.5 nbrs/node\n", true},
+		{"to zero", base, "BenchmarkJob 	 10	 5000000 ns/op	 0 beacon-scans/op	 2.5 nbrs/node\n", true},
+		{"varying baseline", base + "BenchmarkJob 	 10	 5000000 ns/op	 38600 beacon-scans/op	 2.5 nbrs/node\n", base, true},
+		{"gauge ignored", base, "BenchmarkJob 	 10	 5000000 ns/op	 38634 beacon-scans/op	 9 nbrs/node\n", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b, err := Parse(strings.NewReader(c.base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, err := Parse(strings.NewReader(c.cur))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Compare(b, cur, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failed() != c.fail {
+				t.Fatalf("Failed() = %v, want %v:\n%s", rep.Failed(), c.fail, rep)
+			}
+			for _, d := range rep.Regressions {
+				if d.Unit != "beacon-scans/op" {
+					t.Errorf("unexpected regression %+v", d)
+				}
+			}
+		})
+	}
+}
+
 func TestDirection(t *testing.T) {
 	cases := []struct {
 		unit string

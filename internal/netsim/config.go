@@ -262,6 +262,9 @@ func (c Config) Validate() error {
 	if c.SampleInterval < 0 {
 		return fmt.Errorf("netsim: negative sample interval %v", c.SampleInterval)
 	}
+	if !(c.SampleInterval <= math.MaxFloat64) {
+		return fmt.Errorf("netsim: sample interval %v is not finite", c.SampleInterval)
+	}
 	return nil
 }
 

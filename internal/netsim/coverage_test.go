@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/routing"
+	"repro/internal/sim"
 )
 
 func TestConfigValidateBranches(t *testing.T) {
@@ -30,6 +31,9 @@ func TestConfigValidateBranches(t *testing.T) {
 		{"NaN packet", func(c *Config) { c.PacketBits = math.NaN() }},
 		{"infinite rate", func(c *Config) { c.FlowRateBps = math.Inf(1) }},
 		{"NaN estimate", func(c *Config) { c.EstimateScale = math.NaN() }},
+		{"negative sample interval", func(c *Config) { c.SampleInterval = -1 }},
+		{"NaN sample interval", func(c *Config) { c.SampleInterval = sim.Time(math.NaN()) }},
+		{"infinite sample interval", func(c *Config) { c.SampleInterval = sim.Time(math.Inf(1)) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 // every-strategy scenes must produce byte-identical results whether their
 // HELLO rounds run on the host's default split (which leaves rounds this
 // small on one worker) or on crossSplit, which splits every round and the
-// seeding across two workers. The zero-fault goldens are not repeated
+// seeding across two workers. Every scene runs the touched-set oracle
+// after every round (checkTouched). The zero-fault goldens are not repeated
 // here; TestHelloRoundPathsAgree and TestDeterminismHelloRoundWorkers pin
 // split rounds on their own scenes.
 
@@ -94,6 +95,7 @@ func motionScenario(t *testing.T, model string, split roundSplit) (Result, uint6
 	if added == 0 {
 		t.Fatal("no routable flows in motion scenario")
 	}
+	w.afterRound = touchedOracle(t, w, nil)
 	res, err := w.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +160,7 @@ func TestDeterminismStrategiesCrossScheduler(t *testing.T) {
 		if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: 1, LengthBits: 8e5}); err != nil {
 			return Result{}, 0, false
 		}
+		w.afterRound = touchedOracle(t, w, nil)
 		res, err := w.Run()
 		if err != nil {
 			t.Fatal(err)

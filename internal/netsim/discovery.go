@@ -84,7 +84,7 @@ func (t *aodvTransport) charge(sender *node, dist float64) error {
 		return nil
 	}
 	cost := t.w.cfg.Radio.Tx.TxEnergy(dist, t.w.cfg.NotificationBits)
-	if err := sender.battery().Draw(cost, energy.CatControl); err != nil {
+	if err := sender.Battery().Draw(cost, energy.CatControl); err != nil {
 		t.w.noteDepletion(sender, err)
 		return err
 	}

@@ -67,6 +67,7 @@ func splitWorldFingerprint(t *testing.T, mode Mode, split roundSplit, mutate ...
 	if _, err := w.AddFlow(FlowSpec{Src: 0, Dst: dst, LengthBits: 4e6}); err != nil {
 		t.Fatal(err)
 	}
+	w.afterRound = touchedOracle(t, w, nil)
 	res, err := w.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,24 @@ package netsim
 //
 // One round lets every live node whose advertised state has drifted
 // re-broadcast its beacon (paper §2), and each beacon writes one row into
-// every in-range neighbor's table. Delivered one message at a time, a
-// round is a random walk over memory: receiver IDs are spatially random,
-// so each write chases endpoint → node → table → row into a cold node.
+// every in-range neighbor's table.
+//
+// Drift scan. shouldBeacon reads only a node's position, its battery and
+// its last advert, so its answer can turn true only after the position or
+// battery changed. Those writes mark the node in the store's touched set
+// (moveNode, and node.Battery, through which every energy draw goes), and
+// a round evaluates shouldBeacon only on the touched nodes, walking the
+// bitset word by word in ID order and clearing it as it goes. A touched
+// node that does not beacon is cleared too: its answer cannot change
+// until it is touched again. A served job's ~100 nodes mostly sit still,
+// so a round scans the flow's few nodes, not all of them. With
+// BeaconMoveEps or BeaconEnergyFrac not positive, an unchanged node
+// beacons too, so every node is marked at the start of every round and
+// the walk is the full scan.
+//
+// Delivered one message at a time, a round is a random walk over memory:
+// receiver IDs are spatially random, so each write chases endpoint →
+// node → table → row into a cold node.
 //
 // With control traffic uncharged, a round can change nothing but
 // neighbor tables: a send draws no energy, so no node dies and no later
@@ -40,9 +55,13 @@ package netsim
 //
 // A charged round (Radio.ChargeControl, ablation A4) keeps the
 // per-message path: there a sender can die mid-round and trigger a route
-// repair that reads tables.
+// repair that reads tables. Its sends draw energy and so touch nodes
+// during the walk: a touched node past the walk's cursor is visited in
+// the same round, as a full scan would see its drawn energy, and one at
+// or before the cursor keeps its mark for the next round.
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -158,15 +177,10 @@ func (w *World) batchedHello() bool {
 // beaconRound runs one HELLO round: every live node whose advertised
 // state has drifted re-broadcasts its beacon.
 func (w *World) beaconRound() error {
-	dead := w.store.dead
 	if w.batchedHello() {
 		w.batchedRound()
 	} else {
-		for i, n := range w.nodes {
-			if !dead[i] && n.shouldBeacon() {
-				n.sendBeacon()
-			}
-		}
+		w.scanTouched(true)
 	}
 	if w.afterRound != nil {
 		w.afterRound()
@@ -195,13 +209,8 @@ func (w *World) beaconRound() error {
 // cannot change a later node's decision.
 func (w *World) batchedRound() {
 	bb := &w.beacons
-	dead := w.store.dead
 	bb.senders = bb.senders[:0]
-	for i, n := range w.nodes {
-		if !dead[i] && n.shouldBeacon() {
-			bb.senders = append(bb.senders, i)
-		}
-	}
+	w.scanTouched(false)
 	if len(bb.senders) == 0 {
 		return
 	}
@@ -224,6 +233,44 @@ func (w *World) batchedRound() {
 		}
 	}
 	w.applyBeacons(parts)
+}
+
+// scanTouched is a round's drift scan (see the file comment): it visits
+// the touched nodes in ID order, clearing their marks, and evaluates
+// shouldBeacon on each live one. A sender beacons at once when send is
+// set (the per-message round) and is appended to the batch's senders
+// otherwise.
+func (w *World) scanTouched(send bool) {
+	st := &w.store
+	if !(w.cfg.BeaconMoveEps > 0 && w.cfg.BeaconEnergyFrac > 0) {
+		st.touchAll()
+	}
+	words := st.touched
+	for k := range words {
+		var keep uint64 // marks at or before the cursor, set by this round's sends
+		for words[k] != 0 {
+			b := bits.TrailingZeros64(words[k])
+			words[k] &= words[k] - 1
+			id := k<<6 | b
+			if st.dead[id] {
+				continue
+			}
+			w.beaconScans++
+			n := w.nodes[id]
+			if !n.shouldBeacon() {
+				continue
+			}
+			if !send {
+				w.beacons.senders = append(w.beacons.senders, id)
+				continue
+			}
+			n.sendBeacon()
+			done := uint64(2)<<b - 1
+			keep |= words[k] & done
+			words[k] &^= done
+		}
+		words[k] = keep
+	}
 }
 
 // resolveWindow resolves the receiver sets of a window of senders on the

@@ -29,7 +29,8 @@ type roundPathRun struct {
 // runRoundPath builds the 80-node differential scene under cfg, with the
 // per-message round forced on or off, the apply threshold at maxPairs,
 // the round split at split and, when positive, the neighbor-row margin
-// at margin, and runs it to completion.
+// at margin, and runs it to completion with the touched-set oracle
+// checking every round.
 func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split roundSplit, margin float64) roundPathRun {
 	t.Helper()
 	src := stats.NewSource(77)
@@ -65,12 +66,12 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split
 	}
 	var run roundPathRun
 	var delivered uint64
-	w.afterRound = func() {
+	w.afterRound = touchedOracle(t, w, func() {
 		run.tables = append(run.tables, tableDigest(w))
 		d := w.medium.Stats().Delivered
 		run.maxDeliver = max(run.maxDeliver, d-delivered)
 		delivered = d
-	}
+	})
 	res, err := w.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -108,8 +108,13 @@ var _ radio.Endpoint = (*node)(nil)
 // Position implements radio.Endpoint.
 func (n *node) Position() geom.Point { return n.pos() }
 
-// Battery implements radio.Endpoint.
-func (n *node) Battery() *energy.Battery { return n.battery() }
+// Battery implements radio.Endpoint. Every energy draw, the medium's and
+// the world's own, takes the battery through it, so it marks the node
+// touched for the next HELLO round; reads use battery.
+func (n *node) Battery() *energy.Battery {
+	n.world.store.touch(n.id)
+	return n.battery()
+}
 
 func (n *node) beacon() hello.Beacon {
 	return hello.Beacon{ID: n.id, Position: n.pos(), Residual: n.battery().Residual()}
@@ -516,7 +521,7 @@ func (n *node) move() {
 		cost = n.battery().Residual()
 	}
 	if cost > 0 {
-		if err := n.battery().Draw(cost, energy.CatMove); err != nil {
+		if err := n.Battery().Draw(cost, energy.CatMove); err != nil {
 			w.noteDepletion(n, err)
 		}
 	}

@@ -30,6 +30,10 @@ const (
 	// goldenScaleFired counts the scheduler events of the run, captured
 	// once ambient motion became one tick event per interval.
 	goldenScaleFired = 206
+	// goldenScaleScans counts the drift scan's shouldBeacon evaluations.
+	// Every node drifts between rounds, so every live node is touched
+	// and scanned every round: 5,000 nodes over three rounds.
+	goldenScaleScans = 15000
 )
 
 // tableDigest hashes every node's neighbor-table Snapshot as of the
@@ -87,6 +91,9 @@ func TestScaleGoldenN5k(t *testing.T) {
 	}
 	if got := tableDigest(w); got != goldenScaleTables {
 		t.Errorf("neighbor-table digest %s, want %s", got, goldenScaleTables)
+	}
+	if w.beaconScans != goldenScaleScans {
+		t.Errorf("beacon scans = %d, want %d", w.beaconScans, goldenScaleScans)
 	}
 	if w.splitRounds == 0 {
 		t.Errorf("no HELLO round took the %d-worker split", w.round.workers)

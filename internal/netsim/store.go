@@ -17,10 +17,16 @@ import (
 //
 // batteries is a value slice sized once at NewWorld and never resized,
 // so &batteries[i] is stable and can back radio.Endpoint.Battery.
+//
+// touched holds one bit per node, set whenever the node's position or
+// battery may have changed since a HELLO round last visited it: by
+// moveNode and by node.Battery, through which every energy draw goes.
+// A round's drift scan visits only the set bits (see hello_round.go).
 type nodeStore struct {
 	pos       []geom.Point
 	batteries []energy.Battery
 	dead      []bool
+	touched   []uint64
 }
 
 // newNodeStore builds the dense state for n nodes from the caller's
@@ -32,6 +38,7 @@ func newNodeStore(positions []geom.Point, energies []float64) nodeStore {
 		pos:       append([]geom.Point(nil), positions...),
 		batteries: make([]energy.Battery, n),
 		dead:      make([]bool, n),
+		touched:   make([]uint64, (n+63)/64),
 	}
 	for i := range st.batteries {
 		st.batteries[i] = *energy.NewBattery(energies[i])
@@ -45,9 +52,23 @@ func (n *node) pos() geom.Point { return n.world.store.pos[n.id] }
 // dead reports whether the node is dead (depleted or crashed).
 func (n *node) dead() bool { return n.world.store.dead[n.id] }
 
-// battery returns the node's battery; the pointer is stable because the
-// store's battery slice is sized once at NewWorld.
+// battery returns the node's battery for reading; the pointer is stable
+// because the store's battery slice is sized once at NewWorld. Draws go
+// through node.Battery, which marks the node touched.
 func (n *node) battery() *energy.Battery { return &n.world.store.batteries[n.id] }
+
+// touch marks node id as changed since a HELLO round last visited it.
+func (st *nodeStore) touch(id NodeID) { st.touched[id>>6] |= 1 << (id & 63) }
+
+// touchAll marks every node.
+func (st *nodeStore) touchAll() {
+	for k := range st.touched {
+		st.touched[k] = ^uint64(0)
+	}
+	if r := len(st.dead) & 63; r != 0 {
+		st.touched[len(st.touched)-1] = 1<<r - 1
+	}
+}
 
 // rowMargin is the Verlet margin s as a fraction of the radio range r.
 // The world's neighbor rows list, for every node, the nodes within r + s
@@ -107,10 +128,11 @@ func (w *World) appendInRange(dst []NodeID, id NodeID) []NodeID {
 }
 
 // moveNode is the single write path for node positions: it marks the
-// rows stale once the node strays too far from its anchor (NaN counts as
-// too far) and drops the cached topology graph.
+// node touched, marks the rows stale once the node strays too far from
+// its anchor (NaN counts as too far) and drops the cached topology graph.
 func (w *World) moveNode(id NodeID, p geom.Point) {
 	w.store.pos[id] = p
+	w.store.touch(id)
 	w.rows.stale = w.rows.stale || !(p.Dist2(w.rows.anchor[id]) <= w.rows.drift2)
 	w.topoGraph = nil
 }

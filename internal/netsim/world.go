@@ -73,14 +73,16 @@ type World struct {
 	// sets, AODV flood fan-out and Graph (see store.go).
 	rows neighborRows
 	// beacons buffers the batched HELLO round, round sizes the round's
-	// data-parallel split, and splitRounds counts the rounds that took
-	// it (see hello_round.go). The other two are seams for the
+	// data-parallel split, splitRounds counts the rounds that took it,
+	// and beaconScans counts the drift scan's shouldBeacon evaluations
+	// (see hello_round.go). The other two are seams for the
 	// round-path differential tests: perMessageHello forces every round
 	// onto the per-message path, and afterRound, when set, runs at the end
 	// of every round.
 	beacons         beaconBatch
 	round           roundSplit
 	splitRounds     uint64
+	beaconScans     uint64
 	perMessageHello bool
 	afterRound      func()
 	// topoGraph caches Graph's result until a node moves: flows are
@@ -856,7 +858,7 @@ func (w *World) ambientStep(n *node, dt float64) {
 			cost = n.battery().Residual()
 		}
 		if cost > 0 {
-			if err := n.battery().Draw(cost, energy.CatMove); err != nil {
+			if err := n.Battery().Draw(cost, energy.CatMove); err != nil {
 				w.noteDepletion(n, err)
 			}
 		}

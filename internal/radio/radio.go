@@ -34,7 +34,9 @@ var ErrUnknownNode = errors.New("radio: unknown node")
 type Endpoint interface {
 	// Position returns the node's current location; consulted at send time.
 	Position() geom.Point
-	// Battery returns the battery charged for this node's transmissions.
+	// Battery returns the battery charged for this node's transmissions
+	// and receptions. The medium calls it only to draw energy, never to
+	// read the battery, so an endpoint may treat each call as a draw.
 	Battery() *energy.Battery
 	// Receive delivers a message. It runs synchronously inside the send
 	// that carried it.

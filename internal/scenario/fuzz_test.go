@@ -29,6 +29,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add(`{"faults":{"loss_p":1.5}}`)
 	f.Add(`{"faults":{"loss_p":0.1,"retry_limit":3}}`)
 	f.Add(`{"faults":{"crashes":[{"node":-1,"at_s":-2,"recover_at_s":1}]}}`)
+	f.Add(`{"nodes":[{"x":0,"y":0,"joules":1},{"x":900,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`)
 	for _, seed := range jobSpecSeeds {
 		f.Add(seed)
 	}
@@ -66,6 +67,8 @@ var jobSpecSeeds = []string{
 	`{"trials":2,"output":{"trace":true},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],` +
 		`"flows":[{"src":0,"dst":1,"length_kb":1}]}`,
 	`{"output":{"sample_interval_s":-0.5}}`,
+	`{"output":{"sample_interval_s":1e-300},` +
+		`"nodes":[{"x":0,"y":0,"joules":10},{"x":50,"y":0,"joules":10}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`,
 	`{"output":{}}`,
 }
 

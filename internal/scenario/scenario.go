@@ -91,13 +91,21 @@ const MaxTrials = 100000
 // arbitrarily large world.
 const MaxNodes = 100000
 
+// MinSampleIntervalS is the shortest positive Output.SampleIntervalS a
+// scenario may ask for: one sample per simulated second, the default
+// HELLO period. A run samples at every interval until it ends, with no
+// cap on the series, so a shorter interval would let one small document
+// grow a job's result without bound.
+const MinSampleIntervalS = 1.0
+
 // OutputSpec selects optional run outputs for service jobs.
 type OutputSpec struct {
 	// Trace captures the run's event trace as JSONL (the pinned schema of
 	// internal/trace). Only valid for single-trial jobs.
 	Trace bool `json:"trace,omitempty"`
 	// SampleIntervalS samples time-resolved metrics every this many
-	// simulated seconds (plus once at t=0 and once at run end).
+	// simulated seconds (plus once at t=0 and once at run end). Zero
+	// turns sampling off; otherwise it is at least MinSampleIntervalS.
 	SampleIntervalS float64 `json:"sample_interval_s,omitempty"`
 }
 
@@ -326,7 +334,11 @@ func (s *Scenario) applyDefaults() {
 	}
 }
 
-// Validate checks the scenario's internal consistency.
+// Validate checks the scenario's internal consistency. It rejects
+// whatever Build would, with one exception: the pinned flow paths of a
+// random_nodes placement, which is drawn in Build, are range-checked
+// only there. Over explicit nodes a path is checked here as Build checks
+// it: no repeated node, every hop within radio range.
 func (s *Scenario) Validate() error {
 	if len(s.Nodes) == 0 && s.RandomNodes == nil {
 		return errors.New("scenario: no nodes (set nodes or random_nodes)")
@@ -402,6 +414,9 @@ func (s *Scenario) Validate() error {
 		if s.Output.SampleIntervalS < 0 {
 			return fmt.Errorf("scenario: negative sample interval %v", s.Output.SampleIntervalS)
 		}
+		if v := s.Output.SampleIntervalS; v != 0 && !(v >= MinSampleIntervalS && v <= math.MaxFloat64) {
+			return fmt.Errorf("scenario: sample interval %v s is neither 0 (off) nor finite and at least %v s", v, MinSampleIntervalS)
+		}
 		if s.Output.Trace && s.Trials > 1 {
 			return errors.New("scenario: trace capture requires a single trial")
 		}
@@ -409,8 +424,47 @@ func (s *Scenario) Validate() error {
 	// The model fields (radio, locomotion, strategy, mode, faults,
 	// motion) are checked by compiling them, so whatever Build would
 	// reject is rejected here, before any trial runs.
-	_, err := s.config()
-	return err
+	cfg, err := s.config()
+	if err != nil {
+		return err
+	}
+	return s.checkPaths(cfg.Radio.Range)
+}
+
+// checkPaths applies Build's route check (routing.ValidateRoute) to the
+// pinned flow paths over an explicit placement at radio range r: no node
+// repeats, and every hop is within range by topo.Graph.Connected's
+// comparison. Path node IDs are already known to be in range.
+func (s *Scenario) checkPaths(r float64) error {
+	if len(s.Nodes) == 0 {
+		return nil
+	}
+	var seen []bool
+	for i, f := range s.Flows {
+		if len(f.Path) == 0 {
+			continue
+		}
+		if seen == nil {
+			seen = make([]bool, len(s.Nodes))
+		}
+		for k, id := range f.Path {
+			if seen[id] {
+				return fmt.Errorf("scenario: flow %d: node %d repeats in path", i, id)
+			}
+			seen[id] = true
+			if k == 0 {
+				continue
+			}
+			a, b := s.Nodes[f.Path[k-1]], s.Nodes[id]
+			if !(geom.Pt(a.X, a.Y).Dist2(geom.Pt(b.X, b.Y)) <= r*r) {
+				return fmt.Errorf("scenario: flow %d: hop %d -> %d out of range", i, f.Path[k-1], id)
+			}
+		}
+		for _, id := range f.Path {
+			seen[id] = false
+		}
+	}
+	return nil
 }
 
 // config converts the JSON spec to the motion layer's configuration,

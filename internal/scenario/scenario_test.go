@@ -185,6 +185,16 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
 		{"negative mobility cost", `{"mobility_cost_j_per_m":-0.5,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
 			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"tiny sample interval", `{"output":{"sample_interval_s":1e-300},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"sample interval below the minimum", `{"output":{"sample_interval_s":0.999},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1}]}`},
+		{"path hop out of range", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":900,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`},
+		{"path hop out of a narrowed range", `{"range_meters":50,"nodes":[{"x":0,"y":0,"joules":1},{"x":40,"y":0,"joules":1},{"x":100,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":2,"length_kb":1,"path":[0,1,2]}]}`},
+		{"path node repeats", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":100,"y":0,"joules":1},{"x":200,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":2,"length_kb":1,"path":[0,1,0,1,2]}]}`},
 		{"garbage", `{`},
 	}
 	for _, tt := range tests {
@@ -193,6 +203,44 @@ func TestLoadRejectsBadScenarios(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+}
+
+// TestLoadBounds pins the edges of two submit-time checks: the shortest
+// sample interval, and the pinned-path hop check, which Load runs over
+// explicit nodes, agreeing with Build at the range's edge, and leaves to
+// Build over a random_nodes placement.
+func TestLoadBounds(t *testing.T) {
+	const two = `"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]`
+	for _, v := range []string{"0", "1", "60"} {
+		if _, err := Load(strings.NewReader(`{"output":{"sample_interval_s":` + v + `},` + two + `}`)); err != nil {
+			t.Errorf("sample interval %s: %v", v, err)
+		}
+	}
+	_, err := Load(strings.NewReader(`{"nodes":[{"x":0,"y":0,"joules":1},{"x":900,"y":0,"joules":1}],
+		"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`))
+	if err == nil || !strings.Contains(err.Error(), "flow 0: hop 0 -> 1 out of range") {
+		t.Errorf("explicit out-of-range hop: err %v, want the hop named", err)
+	}
+	for _, x := range []string{"200", "200.000001"} {
+		doc := `{"nodes":[{"x":0,"y":0,"joules":1},{"x":` + x + `,"y":0,"joules":1}],
+			"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`
+		s, loadErr := Load(strings.NewReader(doc))
+		var buildErr error
+		if loadErr == nil {
+			_, _, buildErr = s.Build()
+		}
+		if want := x != "200"; (loadErr != nil) != want || buildErr != nil {
+			t.Errorf("hop of %s m at range 200: Load err %v, Build err %v", x, loadErr, buildErr)
+		}
+	}
+	s, err := Load(strings.NewReader(`{"random_nodes":{"count":2,"field_w":10000,"field_h":10000,"energy_lo":1,"energy_hi":2},
+		"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`))
+	if err != nil {
+		t.Fatalf("random_nodes paths are checked only at Build, yet Load failed: %v", err)
+	}
+	if _, _, err := s.Build(); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("random_nodes out-of-range hop: Build err %v", err)
 	}
 }
 

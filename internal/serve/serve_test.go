@@ -275,6 +275,8 @@ func TestFailurePaths(t *testing.T) {
 		{"unknown strategy param", "POST", "/v1/jobs", `{"strategy":{"name":"rolling-horizon","params":{"warp":9}},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, `unknown parameter "warp"`},
 		{"negative tx_a", "POST", "/v1/jobs", `{"tx_a":-1,"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "electronics cost"},
 		{"path node out of range", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,7,1]}]}`, 400, "path node 7"},
+		{"path hop out of radio range", "POST", "/v1/jobs", `{"nodes":[{"x":0,"y":0,"joules":1},{"x":900,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1,"path":[0,1]}]}`, 400, "hop 0 -> 1 out of range"},
+		{"tiny sample interval", "POST", "/v1/jobs", `{"output":{"sample_interval_s":1e-300},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "sample interval"},
 		{"trace with trials", "POST", "/v1/jobs", `{"trials":3,"output":{"trace":true},"nodes":[{"x":0,"y":0,"joules":1},{"x":1,"y":0,"joules":1}],"flows":[{"src":0,"dst":1,"length_kb":1}]}`, 400, "single trial"},
 		{"unknown job", "GET", "/v1/jobs/job-999", "", 404, "unknown job"},
 		{"unknown job delete", "DELETE", "/v1/jobs/job-999", "", 404, "unknown job"},
