@@ -103,12 +103,14 @@ benchgate:
 		| $(GO) run ./cmd/benchgate -baseline bench_baseline.txt -threshold 0.25
 
 # benchgate-quick is the short-iteration gate wired into ci: same
-# benchmarks and baseline at minimal iteration counts, with a loose
-# threshold that still catches order-of-magnitude regressions (a lost
-# zero-alloc property or an accidental O(n^2)).
+# benchmarks and baseline at minimal iteration counts. It gates the exact
+# work counts, B/op and allocs/op (a lost zero-alloc property, an
+# accidental O(n^2) in the counts) and prints ns/op without gating it:
+# best-of-three at 3x moved from 15.6 to 27.2 ms on unchanged code as the
+# shared host changed phase. benchgate keeps the ns/op ratchet.
 benchgate-quick:
 	$(call GATE_BENCH_RUN,3x) \
-		| $(GO) run ./cmd/benchgate -baseline bench_baseline.txt -threshold 0.6
+		| $(GO) run ./cmd/benchgate -baseline bench_baseline.txt -threshold 0.6 -report-only ns/op
 
 # bench-baseline refreshes the committed baseline after an intentional
 # performance change. Review the diff before committing.

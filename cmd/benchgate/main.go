@@ -7,6 +7,7 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchgate -baseline bench_baseline.txt
 //	benchgate -baseline bench_baseline.txt -input bench_output.txt -threshold 0.25
+//	benchgate -baseline bench_baseline.txt -threshold 0.6 -report-only ns/op
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/benchgate"
 )
@@ -22,15 +24,20 @@ func main() {
 	baseline := flag.String("baseline", "", "committed baseline benchmark output (required)")
 	input := flag.String("input", "-", "current benchmark output; '-' reads stdin")
 	threshold := flag.Float64("threshold", 0.10, "tolerated fractional slowdown (0.10 = 10%)")
+	reportOnly := flag.String("report-only", "", "comma-separated units to print without gating (e.g. ns/op)")
 	flag.Parse()
 
-	if err := run(*baseline, *input, *threshold); err != nil {
+	var units []string
+	if *reportOnly != "" {
+		units = strings.Split(*reportOnly, ",")
+	}
+	if err := run(*baseline, *input, *threshold, units); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func run(baselinePath, inputPath string, threshold float64) error {
+func run(baselinePath, inputPath string, threshold float64, reportOnly []string) error {
 	if baselinePath == "" {
 		return fmt.Errorf("-baseline is required")
 	}
@@ -58,7 +65,7 @@ func run(baselinePath, inputPath string, threshold float64) error {
 		return fmt.Errorf("current run: %w", err)
 	}
 
-	rep, err := benchgate.Compare(base, cur, threshold)
+	rep, err := benchgate.Compare(base, cur, threshold, reportOnly...)
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,8 @@
 // "/op" is a deterministic work count (say, beacon-scans/op) and is
 // gated exactly: a count cannot flake, so any difference from the
 // baseline, either way, fails. Unknown units such as informational gauge
-// metrics are ignored.
+// metrics are ignored. Units the caller names as report-only are compared
+// and printed but never fail the gate.
 package benchgate
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -178,6 +180,9 @@ type Report struct {
 	Regressions  []Delta
 	Improvements []Delta
 	Unchanged    []Delta
+	// ReportOnly holds the deltas of the report-only units, whatever
+	// their size; they never fail the gate.
+	ReportOnly []Delta
 	// MissingInNew lists baseline benchmarks absent from the current run
 	// (renamed or deleted — the gate fails on these, since silently
 	// dropping a gated benchmark is itself a regression).
@@ -188,8 +193,9 @@ type Report struct {
 }
 
 // Compare evaluates cur against base. threshold is the tolerated
-// fractional slowdown (0.10 = 10%).
-func Compare(base, cur *Set, threshold float64) (*Report, error) {
+// fractional slowdown (0.10 = 10%). The units in reportOnly are compared
+// like any other but land in Report.ReportOnly instead of gating.
+func Compare(base, cur *Set, threshold float64, reportOnly ...string) (*Report, error) {
 	if threshold <= 0 {
 		return nil, fmt.Errorf("benchgate: non-positive threshold %v", threshold)
 	}
@@ -227,6 +233,8 @@ func Compare(base, cur *Set, threshold float64) (*Report, error) {
 			newV := best(cs, dir)
 			d := Delta{Name: name, Unit: unit, Old: oldV, New: newV, WorseBy: worseBy(oldV, newV, dir)}
 			switch {
+			case slices.Contains(reportOnly, unit):
+				rep.ReportOnly = append(rep.ReportOnly, d)
 			case d.WorseBy > threshold:
 				rep.Regressions = append(rep.Regressions, d)
 			case d.WorseBy < -threshold:
@@ -292,6 +300,7 @@ func (r *Report) String() string {
 	}
 	section("improvements", r.Improvements)
 	section("within threshold", r.Unchanged)
+	section("report-only (not gated)", r.ReportOnly)
 	if len(r.OnlyInNew) > 0 {
 		sb.WriteString("new benchmarks (no baseline yet):\n")
 		for _, n := range r.OnlyInNew {

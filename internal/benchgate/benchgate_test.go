@@ -185,6 +185,44 @@ func TestCompareRejectsBadThreshold(t *testing.T) {
 // gated exactly: any difference from the baseline fails, however small
 // and in either direction, as does a baseline that itself varies, while
 // equal counts pass.
+// TestCompareReportOnly pins the report-only units: a 2x ns/op slowdown
+// is printed but passes, while the same run's allocs/op and count
+// regressions still fail.
+func TestCompareReportOnly(t *testing.T) {
+	base, err := Parse(strings.NewReader("BenchmarkJob 	 3	 5000000 ns/op	 794 table-writes/op	 100 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, cur string
+		fail      bool
+	}{
+		{"slow", "BenchmarkJob 	 3	 10000000 ns/op	 794 table-writes/op	 100 allocs/op\n", false},
+		{"slow and allocating", "BenchmarkJob 	 3	 10000000 ns/op	 794 table-writes/op	 200 allocs/op\n", true},
+		{"slow and counting", "BenchmarkJob 	 3	 10000000 ns/op	 795 table-writes/op	 100 allocs/op\n", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cur, err := Parse(strings.NewReader(c.cur))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Compare(base, cur, 0.6, "ns/op")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failed() != c.fail {
+				t.Fatalf("Failed() = %v, want %v:\n%s", rep.Failed(), c.fail, rep)
+			}
+			if len(rep.ReportOnly) != 1 || rep.ReportOnly[0].Unit != "ns/op" || rep.ReportOnly[0].WorseBy != 1 {
+				t.Errorf("report-only deltas %+v, want the ns/op doubling", rep.ReportOnly)
+			}
+			if !strings.Contains(rep.String(), "report-only") {
+				t.Errorf("report does not print the report-only units:\n%s", rep)
+			}
+		})
+	}
+}
+
 func TestCompareCountsExact(t *testing.T) {
 	const base = "BenchmarkJob 	 10	 5000000 ns/op	 38634 beacon-scans/op	 2.5 nbrs/node\n"
 	cases := []struct {

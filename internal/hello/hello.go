@@ -106,6 +106,11 @@ func (t *Table) UpdateBatch(bs []Beacon, now sim.Time) {
 	}
 }
 
+// Clone returns an independent copy of the table.
+func (t *Table) Clone() *Table {
+	return &Table{ttl: t.ttl, ids: slices.Clone(t.ids), entries: slices.Clone(t.entries)}
+}
+
 // Get returns the freshest entry for the given neighbor, if present and
 // not expired as of now.
 func (t *Table) Get(id NodeID, now sim.Time) (Entry, bool) {

@@ -37,6 +37,21 @@ func TestTableRefreshReplaces(t *testing.T) {
 	}
 }
 
+func TestTableClone(t *testing.T) {
+	tab := NewTable(10)
+	tab.Update(Beacon{ID: 1, Residual: 50}, 0)
+	tab.Update(Beacon{ID: 4, Residual: 20}, 3)
+	c := tab.Clone()
+	c.Update(Beacon{ID: 2, Residual: 7}, 5)
+	c.Update(Beacon{ID: 4, Residual: 9}, 5)
+	if got := tab.Snapshot(6); len(got) != 2 || got[1].Residual != 20 || got[1].LastSeen != 3 {
+		t.Errorf("writing the clone changed the original: %+v", got)
+	}
+	if got := c.Snapshot(12); len(got) != 2 || got[0].ID != 2 || got[1].Residual != 9 {
+		t.Errorf("clone rows %+v, want 2 and 4 refreshed, 1 expired under the original's ttl", got)
+	}
+}
+
 func TestTableExpiry(t *testing.T) {
 	tab := NewTable(10)
 	tab.Update(Beacon{ID: 1}, 0)

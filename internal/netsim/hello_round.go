@@ -3,8 +3,10 @@ package netsim
 // HELLO rounds.
 //
 // One round lets every live node whose advertised state has drifted
-// re-broadcast its beacon (paper §2), and each beacon writes one row into
-// every in-range neighbor's table.
+// re-broadcast its beacon (paper §2). Each beacon reaches every in-range
+// live neighbor: a reader's table takes it at once, and every other
+// node's goes to the table log, which builds the table when the node
+// joins a flow (see tables.go).
 //
 // Drift scan. shouldBeacon reads only a node's position, its battery and
 // its last advert, so its answer can turn true only after the position or
@@ -19,38 +21,21 @@ package netsim
 // beacons too, so every node is marked at the start of every round and
 // the walk is the full scan.
 //
-// Delivered one message at a time, a round is a random walk over memory:
-// receiver IDs are spatially random, so each write chases endpoint →
-// node → table → row into a cold node.
-//
 // With control traffic uncharged, a round can change nothing but
 // neighbor tables: a send draws no energy, so no node dies and no later
 // drift decision moves, and a beacon's receive path only writes its
-// receiver's table. Each (receiver, sender) row is written at
-// most once per round — a node sends at most one beacon per round — with
-// the round's single timestamp, and tables are sorted by ID, so the order
-// of a round's deliveries cannot be observed. Within a round no node
-// moves or dies, the neighbor rows are only read (a stale set is rebuilt
-// before the round starts), and each receiver's table is written by one
-// merge. The batched round exploits that in two phases, the heavy parts
-// of each data-parallel:
+// receiver's table or the log. Within a round no node moves or dies and
+// the neighbor rows are only read (a stale set is rebuilt before the
+// round starts). The batched round exploits that: its senders are taken
+// in ID order, and the round workers filter their rows into receiver
+// sets, each worker a contiguous run of the senders. Then, serially in
+// sender order, radio.Medium.AppendBroadcastTo charges each sender,
+// consults the fault hook per receiver and counts the same stats as a
+// per-message broadcast, but returns the reached receivers instead of
+// delivering, and queueBeacon hands the beacon to each live one.
 //
-//   - Send. The round's senders are taken in ID order. The round workers
-//     filter their rows into receiver sets, each worker a contiguous run
-//     of the senders. Then, serially in sender order,
-//     radio.Medium.AppendBroadcastTo charges each sender, consults the
-//     fault hook per receiver and counts the same stats as a per-message
-//     broadcast, but returns the reached receivers instead of delivering.
-//   - Apply. A stable counting sort groups the buffered (receiver, sender)
-//     pairs by receiver. The receiver ID range is cut at pair-count
-//     quantiles, one range per round worker, and each worker walks its
-//     receivers in ascending ID order — nearly sequential in memory,
-//     since tables were allocated in ID order at seeding — merging each
-//     receiver's ascending run of senders in one hello.Table.UpdateBatch.
-//     Dead receivers are skipped, as node.Receive ignores traffic to them.
-//
-// A round of fewer than roundSplit.minSenders senders runs both phases on
-// the calling goroutine alone. Results are byte-identical at any worker
+// A round of fewer than roundSplit.minSenders senders resolves on the
+// calling goroutine alone. Results are byte-identical at any worker
 // count (TestDeterminismHelloRoundWorkers).
 //
 // A charged round (Radio.ChargeControl, ablation A4) keeps the
@@ -63,22 +48,14 @@ package netsim
 import (
 	"math/bits"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/energy"
-	"repro/internal/hello"
 )
 
 const (
-	// beaconBatchPairs caps the (receiver, sender) pairs one apply phase
-	// sorts. A larger round is applied in several chunks of whole senders,
-	// which the commutation argument allows, so the round buffers stay a
-	// few megabytes however many nodes beacon at once.
-	beaconBatchPairs = 1 << 18
 	// splitMinSenders is the sender count from which a round runs on
-	// more than one worker. A resolve or merge costs about a microsecond
+	// more than one worker. A resolve costs about a microsecond
 	// per sender, so a thousand senders are a millisecond of work, well
 	// above the tens of microseconds of waking and joining the workers;
 	// the paper-scale worlds (100 nodes) never reach it.
@@ -91,8 +68,8 @@ const (
 )
 
 // roundSplit sizes the data-parallel HELLO round: the worker count, the
-// senders a round needs to use more than one (also the node count from
-// which seeding does), and the senders resolved per window.
+// senders a round needs to use more than one, and the senders resolved
+// per window.
 // defaultRoundSplit fits it to the host; tests force it onto small
 // scenes.
 type roundSplit struct {
@@ -112,33 +89,22 @@ func (s roundSplit) parts(n int) int {
 	return s.workers
 }
 
-// beaconBatch holds the buffers of the batched HELLO round, reused across
-// rounds. The sender arrays run in send order: adverts[i] is the i-th
-// sender's beacon and ends[i] closes its run of receivers in recv. The
-// apply phase's counting sort fills bucket (one slot per node plus one)
-// and regroups the sender indexes into bySender by receiver; reached is
-// the medium's receiver list for one broadcast. senders lists the round's
-// senders, and workers holds each round worker's buffers. maxPairs is the
-// apply threshold, beaconBatchPairs outside tests.
+// beaconBatch holds the buffers of the batched HELLO round, reused
+// across rounds: senders lists the round's senders, reached is the
+// medium's receiver list for one broadcast, and workers holds each round
+// worker's buffers.
 type beaconBatch struct {
-	maxPairs int
-	adverts  []hello.Beacon
-	ends     []int32
-	recv     []int32
-	bucket   []int32
-	bySender []int32
-	reached  []NodeID
-	senders  []NodeID
-	workers  []roundWorker
+	reached []NodeID
+	senders []NodeID
+	workers []roundWorker
 }
 
 // roundWorker is one round worker's private state: the receiver sets of
 // its run of senders, concatenated in ids with ends[i] closing sender
-// i's, and the row buffer of its merges. Seeding reuses ids and rows.
+// i's.
 type roundWorker struct {
 	ids  []NodeID
 	ends []int32
-	rows []hello.Beacon
 }
 
 // roundWorkers returns the first parts worker states, growing the set on
@@ -168,7 +134,7 @@ func fork(parts int, f func(k int)) {
 	wg.Wait()
 }
 
-// batchedHello reports whether HELLO rounds take the two-phase path; the
+// batchedHello reports whether HELLO rounds take the batched path; the
 // conditions are the commutation argument's (see the file comment).
 func (w *World) batchedHello() bool {
 	return !w.perMessageHello && !w.cfg.Radio.ChargeControl
@@ -204,7 +170,7 @@ func (w *World) beaconRound() error {
 	return nil
 }
 
-// batchedRound is the two-phase round. Drift decisions are taken for the
+// batchedRound is the batched round. Drift decisions are taken for the
 // whole round up front: with control traffic uncharged, a round's sends
 // cannot change a later node's decision.
 func (w *World) batchedRound() {
@@ -227,12 +193,11 @@ func (w *World) batchedRound() {
 			rw := &workers[k]
 			from := int32(0)
 			for i, id := range window[k*len(window)/parts : (k+1)*len(window)/parts] {
-				w.queueBeacon(w.nodes[id], rw.ids[from:rw.ends[i]], parts)
+				w.queueBeacon(w.nodes[id], rw.ids[from:rw.ends[i]])
 				from = rw.ends[i]
 			}
 		}
 	}
-	w.applyBeacons(parts)
 }
 
 // scanTouched is a round's drift scan (see the file comment): it visits
@@ -298,11 +263,10 @@ func (w *World) resolveRun(run []NodeID, rw *roundWorker) {
 }
 
 // queueBeacon is the accounting step for one sender, given its resolved
-// receivers: it broadcasts the node's beacon through the medium, buffers
-// the reached receivers, and records the beacon as the node's last
-// advertised state. A full buffer is applied at once on parts workers
-// (see beaconBatchPairs).
-func (w *World) queueBeacon(n *node, ids []NodeID, parts int) {
+// receivers: it broadcasts the node's beacon through the medium, hands it
+// to every reached live receiver, and records it as the node's last
+// advertised state.
+func (w *World) queueBeacon(n *node, ids []NodeID) {
 	bb := &w.beacons
 	reached, err := w.medium.AppendBroadcastTo(bb.reached[:0], n.id, ids, w.cfg.HelloBits, energy.CatControl)
 	bb.reached = reached
@@ -312,90 +276,11 @@ func (w *World) queueBeacon(n *node, ids []NodeID, parts int) {
 	}
 	adv := n.beacon()
 	n.lastAdvert = adv
-	if len(reached) == 0 {
-		return
-	}
-	bb.adverts = append(bb.adverts, adv)
-	for _, id := range reached {
-		bb.recv = append(bb.recv, int32(id))
-	}
-	bb.ends = append(bb.ends, int32(len(bb.recv)))
-	if len(bb.recv) >= bb.maxPairs {
-		w.applyBeacons(parts)
-	}
-}
-
-// applyBeacons is the apply phase: it writes every buffered beacon into
-// its receivers' tables, receiver by receiver in ascending ID order, on
-// parts workers over receiver ranges of about equal pair counts, and
-// empties the buffers.
-func (w *World) applyBeacons(parts int) {
-	bb := &w.beacons
-	if len(bb.recv) == 0 {
-		return
-	}
-	// Counting sort by receiver. bucket[r+1] counts r's pairs; after the
-	// prefix sum bucket[r] is where r's group starts, and the scatter
-	// advances it to where the group ends. Senders are scattered in send
-	// order, so each group lists its senders ascending.
-	if bb.bucket == nil {
-		bb.bucket = make([]int32, len(w.nodes)+1)
-	}
-	bucket := bb.bucket
-	clear(bucket)
-	for _, r := range bb.recv {
-		bucket[r+1]++
-	}
-	for r := 1; r < len(bucket); r++ {
-		bucket[r] += bucket[r-1]
-	}
-	bb.bySender = slices.Grow(bb.bySender[:0], len(bb.recv))[:len(bb.recv)]
-	lo := int32(0)
-	for s, end := range bb.ends {
-		for _, r := range bb.recv[lo:end] {
-			bb.bySender[bucket[r]] = int32(s)
-			bucket[r]++
-		}
-		lo = end
-	}
-	// Now bucket[r] is where r's group ends. Part k's receivers start at
-	// the first whose group ends past k/parts of the pairs.
-	workers := w.roundWorkers(parts)
-	if parts == 1 {
-		workers[0].rows = w.mergeBeacons(0, len(w.nodes), workers[0].rows)
-	} else {
-		total := len(bb.recv)
-		cut := func(k int) int {
-			return sort.Search(len(w.nodes), func(r int) bool { return int(bucket[r]) > k*total/parts })
-		}
-		fork(parts, func(k int) {
-			workers[k].rows = w.mergeBeacons(cut(k), cut(k+1), workers[k].rows)
-		})
-	}
-	bb.adverts, bb.ends, bb.recv = bb.adverts[:0], bb.ends[:0], bb.recv[:0]
-}
-
-// mergeBeacons merges the sorted pairs of receivers [rlo, rhi) into
-// their tables, building each receiver's batch in rows, and returns the
-// grown row buffer.
-func (w *World) mergeBeacons(rlo, rhi int, rows []hello.Beacon) []hello.Beacon {
-	bb := &w.beacons
-	now := w.sched.Now()
 	dead := w.store.dead
-	lo := int32(0)
-	if rlo > 0 {
-		lo = bb.bucket[rlo-1]
-	}
-	for r := rlo; r < rhi; r++ {
-		hi := bb.bucket[r]
-		if hi > lo && !dead[r] {
-			rows = rows[:0]
-			for _, s := range bb.bySender[lo:hi] {
-				rows = append(rows, bb.adverts[s])
-			}
-			w.nodes[r].neighbors.UpdateBatch(rows, now)
+	for _, id := range reached {
+		if !dead[id] {
+			w.deliverBeacon(id, adv)
 		}
-		lo = hi
 	}
-	return rows
+	w.logBeacon(adv)
 }

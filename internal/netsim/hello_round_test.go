@@ -17,21 +17,34 @@ import (
 // every round, the medium counters, the neighbor-row builds, and the
 // Result.
 type roundPathRun struct {
-	tables     []string
-	maxDeliver uint64 // most deliveries in one round
-	medium     radio.Stats
-	rowBuilds  uint64
-	result     []byte
-	batched    bool   // the two-phase round's buffers were used
-	split      uint64 // rounds that took the data-parallel split
+	tables    []string
+	medium    radio.Stats
+	rowBuilds uint64
+	result    []byte
+	batched   bool   // the batched round's buffers were used
+	split     uint64 // rounds that took the data-parallel split
+	// compactions counts the table log's compactions, and lateJoins the
+	// rounds after which a node had joined a flow with rounds logged.
+	compactions uint64
+	lateJoins   int
 }
 
-// runRoundPath builds the 80-node differential scene under cfg, with the
-// per-message round forced on or off, the apply threshold at maxPairs,
-// the round split at split and, when positive, the neighbor-row margin
-// at margin, and runs it to completion with the touched-set oracle
-// checking every round.
-func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split roundSplit, margin float64) roundPathRun {
+// roundPath selects how a round-path run writes neighbor tables and
+// runs its rounds.
+type roundPath int
+
+const (
+	pathLazy       roundPath = iota // batched rounds, non-readers' tables deferred to the log
+	pathEager                       // batched rounds, every node a reader
+	pathPerMessage                  // per-message rounds, every node a reader
+)
+
+// runRoundPath builds the 80-node differential scene under cfg, on the
+// given round path, with the table log's bound at logLimit when positive,
+// the round split at split and, when positive, the neighbor-row margin at
+// margin, and runs it to completion with the touched-set oracle and the
+// log bound checked after every round.
+func runRoundPath(t *testing.T, cfg Config, path roundPath, logLimit int, split roundSplit, margin float64) roundPathRun {
 	t.Helper()
 	src := stats.NewSource(77)
 	pts := topo.PlaceUniform(src, 80, 700, 700)
@@ -59,18 +72,26 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split
 	if added == 0 {
 		t.Fatal("no routable flows in the round-path scene")
 	}
-	w.perMessageHello = perMessage
-	w.beacons.maxPairs = maxPairs
+	if path != pathLazy {
+		w.perMessageHello = path == pathPerMessage
+		w.eagerTables()
+	}
+	w.log.maxBytes = logLimit
 	if margin > 0 {
 		w.rows.setMargin(w.cfg.Radio.Range, margin)
 	}
 	var run roundPathRun
-	var delivered uint64
+	readers, logged := countReaders(w), false
 	w.afterRound = touchedOracle(t, w, func() {
 		run.tables = append(run.tables, tableDigest(w))
-		d := w.medium.Stats().Delivered
-		run.maxDeliver = max(run.maxDeliver, d-delivered)
-		delivered = d
+		if b, lim := w.log.bytes(), w.log.bound(); b > lim {
+			t.Fatalf("t=%v: table log holds %d bytes, above its %d-byte bound", w.sched.Now(), b, lim)
+		}
+		r := countReaders(w)
+		if r > readers && logged {
+			run.lateJoins++
+		}
+		readers, logged = r, w.log.senders.n > 0
 	})
 	res, err := w.Run()
 	if err != nil {
@@ -81,36 +102,49 @@ func runRoundPath(t *testing.T, cfg Config, perMessage bool, maxPairs int, split
 	}
 	run.medium = w.medium.Stats()
 	run.rowBuilds = w.rows.builds
-	run.batched = cap(w.beacons.recv) > 0
+	run.batched = cap(w.beacons.senders) > 0
 	run.split = w.splitRounds
+	run.compactions = w.log.compactions
 	return run
 }
 
-// forcedSplit splits every round and the seeding across workers, and
-// resolves senders in windows of 16, so the 80-node scene crosses
-// several windows per round.
+// countReaders counts the nodes whose tables are written eagerly.
+func countReaders(w *World) int {
+	n := 0
+	for _, r := range w.store.reader {
+		if r {
+			n++
+		}
+	}
+	return n
+}
+
+// forcedSplit splits every round across workers, and resolves senders
+// in windows of 16, so the 80-node scene crosses several windows per
+// round.
 func forcedSplit(workers int) roundSplit {
 	return roundSplit{workers: workers, minSenders: 1, window: 16}
 }
 
 // roundScene is one configuration of the round-path differential scene.
-// maxPairs is the apply threshold; workers, when positive, forces the
-// data-parallel split with that many workers; margin, when positive,
-// forces the neighbor-row margin.
+// logLimit, when positive, forces the table log's bound in bytes;
+// workers, when positive, forces the data-parallel split with that many
+// workers; margin, when positive, forces the neighbor-row margin.
 type roundScene struct {
 	name     string
 	mutate   func(*Config)
-	maxPairs int
+	logLimit int
 	workers  int
 	margin   float64
 }
 
-// roundScenes are the scenes both differential tests run: drift with
+// roundScenes are the scenes the differential tests run: drift with
 // loss, retry, route repair and expiring tables; crashes and recoveries
-// in informed mode, where relays read the tables; rounds split across two
-// workers; an apply threshold low enough that rounds are applied in
-// several chunks; a neighbor-row margin so tiny that the rows are rebuilt
-// almost every round; and the brute-force row builder.
+// in informed mode, where relays read the tables and route repair detours
+// around a crashed relay two flows share; rounds split across two
+// workers; a table-log bound low enough that the log is compacted many
+// times over, mid-round included; a neighbor-row margin so tiny that the
+// rows are rebuilt almost every round; and the brute-force row builder.
 func roundScenes() []roundScene {
 	drift := &motion.Config{Model: motion.ModelGaussMarkov, Seed: 11, FieldW: 700, FieldH: 700, SpeedLo: 0.5, SpeedHi: 2}
 	return []roundScene{
@@ -119,28 +153,28 @@ func roundScenes() []roundScene {
 			cfg.Motion = drift
 			cfg.NeighborTTL = 3
 			cfg.Faults = &fault.Config{LossP: 0.1, Seed: 3, RetryLimit: 3, RetryTimeout: 0.25, RouteRepair: true}
-		}, beaconBatchPairs, 0, 0},
+		}, 0, 0, 0},
 		{"crash-recovery-informed", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.Faults = &fault.Config{
 				LossP: 0.05, Seed: 5, RetryLimit: 2, RetryTimeout: 0.3, RouteRepair: true,
-				Crashes: []fault.Crash{{Node: 3, At: 20, RecoverAt: 90}, {Node: 17, At: 35}, {Node: 41, At: 5, RecoverAt: 60}},
+				Crashes: []fault.Crash{{Node: 45, At: 20, RecoverAt: 90}, {Node: 17, At: 35}, {Node: 41, At: 5, RecoverAt: 60}},
 			}
-		}, beaconBatchPairs, 0, 0},
+		}, 0, 0, 0},
 		{"split-2", func(cfg *Config) {
 			cfg.Motion = drift
-		}, beaconBatchPairs, 2, 0},
+		}, 0, 2, 0},
 		{"chunked-apply", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.NeighborTTL = 2
-		}, 40, 0, 0},
+		}, 1024, 0, 0},
 		{"tiny-margin", func(cfg *Config) {
 			cfg.Motion = drift
-		}, beaconBatchPairs, 0, 1e-3},
+		}, 0, 0, 1e-3},
 		{"brute-index", func(cfg *Config) {
 			cfg.Motion = drift
 			cfg.NeighborIndex = spatial.KindBrute
-		}, beaconBatchPairs, 0, 0},
+		}, 0, 0, 0},
 	}
 }
 
@@ -178,10 +212,11 @@ func sameRun(t *testing.T, got, want roundPathRun) {
 }
 
 // TestHelloRoundPathsAgree is the differential test of the two HELLO
-// round paths: the same worlds run with batched (two-phase) rounds and
-// with per-message rounds must agree on every table after every round,
-// on the medium counters and on the whole Result, over roundScenes. The
-// split-2 scene runs its rounds split across two workers.
+// round paths: the same worlds run with batched rounds and lazy tables,
+// and with per-message rounds and every table eager, must agree on every
+// table after every round, on the medium counters and on the whole
+// Result, over roundScenes. The split-2 scene runs its rounds
+// split across two workers.
 func TestHelloRoundPathsAgree(t *testing.T) {
 	for _, sc := range roundScenes() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -190,8 +225,8 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 			if sc.workers > 0 {
 				split = forcedSplit(sc.workers)
 			}
-			batched := runRoundPath(t, cfg, false, sc.maxPairs, split, sc.margin)
-			perMsg := runRoundPath(t, cfg, true, sc.maxPairs, split, sc.margin)
+			batched := runRoundPath(t, cfg, pathLazy, sc.logLimit, split, sc.margin)
+			perMsg := runRoundPath(t, cfg, pathPerMessage, sc.logLimit, split, sc.margin)
 			if !batched.batched || perMsg.batched {
 				t.Fatalf("round paths not as forced: batched used buffers %v, per-message %v", batched.batched, perMsg.batched)
 			}
@@ -201,9 +236,7 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 			if batched.medium.Delivered == 0 {
 				t.Fatal("no deliveries: the scene exercises nothing")
 			}
-			if sc.maxPairs < beaconBatchPairs && batched.maxDeliver <= uint64(sc.maxPairs) {
-				t.Fatalf("largest round delivered %d beacons, not above the %d-pair threshold", batched.maxDeliver, sc.maxPairs)
-			}
+			checkCompactions(t, sc, batched)
 			if sc.margin > 0 && batched.rowBuilds < uint64(len(batched.tables))/2 {
 				t.Fatalf("%d row builds over %d rounds: the tiny margin forced too few rebuilds", batched.rowBuilds, len(batched.tables))
 			}
@@ -212,25 +245,61 @@ func TestHelloRoundPathsAgree(t *testing.T) {
 	}
 }
 
+// checkCompactions fails t unless a lazy run of a scene with a forced
+// log bound compacted the log at least once per round on average.
+func checkCompactions(t *testing.T, sc roundScene, run roundPathRun) {
+	t.Helper()
+	if sc.logLimit > 0 && run.compactions < uint64(len(run.tables)) {
+		t.Fatalf("%d compactions over %d rounds under a %d-byte log bound", run.compactions, len(run.tables), sc.logLimit)
+	}
+}
+
+// TestLazyTablesAgree is the differential test of deferred tables: each
+// of roundScenes run with non-readers' tables deferred to the log must
+// match the same run with every node a reader, on every table after
+// every round (tableDigest replays the log into scratch copies, so every
+// digest covers every round logged so far), the medium counters and the
+// Result. In the crash-recovery scene a route repair around a crashed
+// relay must make a node join a flow with rounds logged, so that its
+// table is built by a multi-round replay.
+func TestLazyTablesAgree(t *testing.T) {
+	for _, sc := range roundScenes() {
+		t.Run(sc.name, func(t *testing.T) {
+			cfg := sc.config()
+			split := defaultRoundSplit()
+			if sc.workers > 0 {
+				split = forcedSplit(sc.workers)
+			}
+			lazy := runRoundPath(t, cfg, pathLazy, sc.logLimit, split, sc.margin)
+			eager := runRoundPath(t, cfg, pathEager, sc.logLimit, split, sc.margin)
+			if eager.compactions != 0 {
+				t.Fatalf("every node a reader, yet the log was compacted %d times", eager.compactions)
+			}
+			if sc.name == "crash-recovery-informed" && lazy.lateJoins == 0 {
+				t.Fatal("no node joined a flow with rounds logged")
+			}
+			checkCompactions(t, sc, lazy)
+			sameRun(t, lazy, eager)
+		})
+	}
+}
+
 // TestDeterminismHelloRoundWorkers pins the data-parallel round: with
-// every round and the seeding forced onto the split, at 1, 2, 3 and 8
-// workers, each of roundScenes must match the per-message round on
-// every table after every round, the medium counters, the neighbor-row
-// builds and the Result. The Makefile's race and parallel targets
-// select it by name.
+// every round forced onto the split, at 1, 2, 3 and 8 workers, each of
+// roundScenes must match the per-message round on every table after
+// every round, the medium counters, the neighbor-row builds and the
+// Result. The Makefile's race and parallel targets select it by name.
 func TestDeterminismHelloRoundWorkers(t *testing.T) {
 	for _, sc := range roundScenes() {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := sc.config()
-			want := runRoundPath(t, cfg, true, sc.maxPairs, defaultRoundSplit(), sc.margin)
+			want := runRoundPath(t, cfg, pathPerMessage, sc.logLimit, defaultRoundSplit(), sc.margin)
 			for _, workers := range []int{1, 2, 3, 8} {
-				got := runRoundPath(t, cfg, false, sc.maxPairs, forcedSplit(workers), sc.margin)
+				got := runRoundPath(t, cfg, pathLazy, sc.logLimit, forcedSplit(workers), sc.margin)
 				if (got.split > 0) != (workers > 1) {
 					t.Fatalf("workers=%d: %d rounds split", workers, got.split)
 				}
-				if sc.maxPairs < beaconBatchPairs && got.maxDeliver <= uint64(sc.maxPairs) {
-					t.Fatalf("workers=%d: largest round delivered %d beacons, not above the %d-pair threshold", workers, got.maxDeliver, sc.maxPairs)
-				}
+				checkCompactions(t, sc, got)
 				sameRun(t, got, want)
 			}
 		})

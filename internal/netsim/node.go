@@ -14,8 +14,10 @@ import (
 	"repro/internal/trace"
 )
 
-// node carries one node's protocol state: HELLO neighbor table, flow
-// table, last advertised beacon, AODV instance, and retry-transport state.
+// node carries one node's protocol state: HELLO neighbor table (nil
+// until the node joins a flow or the table log is compacted, see
+// tables.go), flow table, last advertised beacon, AODV instance, and
+// retry-transport state.
 // The dense per-node state — position, battery, alive flag —
 // lives in the world's struct-of-arrays nodeStore (see store.go) and is
 // reached through the pos/battery/dead accessors.
@@ -141,13 +143,15 @@ func (n *node) shouldBeacon() bool {
 }
 
 // sendBeacon broadcasts the node's HELLO and records it as the last
-// advertised state. It is the per-message round's send; batched rounds
-// use World.queueBeacon (see hello_round.go).
+// advertised state. It is the per-message round's send and a recovered
+// node's re-announcement; batched rounds use World.queueBeacon (see
+// hello_round.go).
 func (n *node) sendBeacon() {
 	w := n.world
 	b := w.beaconBoxes.get()
 	*b = n.beacon()
 	_, err := w.medium.Broadcast(n.id, w.cfg.HelloBits, energy.CatControl, b)
+	w.logBeacon(*b)
 	w.beaconBoxes.put(b)
 	if err != nil {
 		w.noteDepletion(n, err)
@@ -173,7 +177,7 @@ func (n *node) Receive(from NodeID, msg any) {
 	}
 	switch m := msg.(type) {
 	case *hello.Beacon:
-		n.neighbors.Update(*m, n.world.sched.Now())
+		n.world.deliverBeacon(n.id, *m)
 	case *dataPacket:
 		n.onData(from, m)
 	case *ackPacket:
@@ -471,6 +475,7 @@ func (n *node) onNotification(from NodeID, note core.Notification) {
 func (n *node) flowView(entry *core.FlowEntry, hdr *core.Header) (mobility.View, bool) {
 	w := n.world
 	now := w.sched.Now()
+	w.tableReads += 2
 	prev, ok := n.neighbors.Get(entry.Prev, now)
 	if !ok {
 		return mobility.View{}, false
@@ -544,6 +549,7 @@ func (n *node) linksSurvive(candidate geom.Point) bool {
 			if peer < 0 {
 				continue
 			}
+			w.tableReads++
 			entry, ok := n.neighbors.Get(peer, now)
 			if !ok {
 				continue

@@ -98,7 +98,9 @@ func buildScaleWorld(tb testing.TB, nodes, flows int) *World {
 
 // BenchmarkWorld100k measures full-world runs across node-count rungs.
 // Setup (placement, seeding, flow planning) is untimed;
-// the measured region is the event-loop run itself.
+// the measured region is the event-loop run itself. It reports the rows
+// written into neighbor tables, set-up included, as table-writes/op, a
+// deterministic count.
 func BenchmarkWorld100k(b *testing.B) {
 	rungs := []struct {
 		name         string
@@ -110,6 +112,7 @@ func BenchmarkWorld100k(b *testing.B) {
 	}
 	for _, r := range rungs {
 		b.Run(r.name, func(b *testing.B) {
+			var writes uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				w := buildScaleWorld(b, r.nodes, r.flows)
@@ -121,7 +124,9 @@ func BenchmarkWorld100k(b *testing.B) {
 				if len(res.Flows) == 0 {
 					b.Fatal("no flow outcomes")
 				}
+				writes += w.tableWrites
 			}
+			b.ReportMetric(float64(writes)/float64(b.N), "table-writes/op")
 		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"repro/internal/hello"
 )
 
 // Golden values of the n5k BenchmarkWorld100k scene (buildScaleWorld),
@@ -34,12 +36,38 @@ const (
 	// Every node drifts between rounds, so every live node is touched
 	// and scanned every round: 5,000 nodes over three rounds.
 	goldenScaleScans = 15000
+	// goldenScaleTableWrites counts the rows written into neighbor
+	// tables: the flow members' base tables at AddFlow and the beacons
+	// they receive. Writing every node's table, seeding and rounds, wrote
+	// 196,130. goldenScaleTableReads counts the rows relays read.
+	goldenScaleTableWrites = 9891
+	goldenScaleTableReads  = 1176
 )
 
 // tableDigest hashes every node's neighbor-table Snapshot as of the
 // world's current time, in node order: row count, then each row's ID,
-// position, residual energy and last-seen time, bit-exact.
+// position, residual energy and last-seen time, bit-exact. A deferred
+// table is built into a scratch copy by replaying the log, which stays
+// as it was, as does the table-write count.
 func tableDigest(w *World) string {
+	defer func(writes uint64) { w.tableWrites = writes }(w.tableWrites)
+	tables := make([]*hello.Table, len(w.nodes))
+	for id, n := range w.nodes {
+		switch {
+		case w.store.reader[id]:
+			tables[id] = n.neighbors
+		case n.neighbors != nil:
+			tables[id] = n.neighbors.Clone()
+		default:
+			tables[id] = w.baseTable(id)
+		}
+	}
+	w.replay(func(r NodeID) *hello.Table {
+		if w.store.reader[r] {
+			return nil
+		}
+		return tables[r]
+	})
 	h := sha256.New()
 	now := w.sched.Now()
 	var buf [8]byte
@@ -47,8 +75,8 @@ func tableDigest(w *World) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, n := range w.nodes {
-		rows := n.neighbors.Snapshot(now)
+	for _, t := range tables {
+		rows := t.Snapshot(now)
 		put(uint64(len(rows)))
 		for _, e := range rows {
 			put(uint64(e.ID))
@@ -94,6 +122,9 @@ func TestScaleGoldenN5k(t *testing.T) {
 	}
 	if w.beaconScans != goldenScaleScans {
 		t.Errorf("beacon scans = %d, want %d", w.beaconScans, goldenScaleScans)
+	}
+	if w.tableWrites != goldenScaleTableWrites || w.tableReads != goldenScaleTableReads {
+		t.Errorf("table writes/reads = %d/%d, want %d/%d", w.tableWrites, w.tableReads, goldenScaleTableWrites, goldenScaleTableReads)
 	}
 	if w.splitRounds == 0 {
 		t.Errorf("no HELLO round took the %d-worker split", w.round.workers)

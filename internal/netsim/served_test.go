@@ -74,13 +74,18 @@ func buildServedWorld(tb testing.TB, seed int64) *World {
 // Golden values of the served-shaped job of seed 1. The Result digest,
 // broadcasts and rounds were captured from the every-node drift scan,
 // which made servedFullScans shouldBeacon evaluations (100 live nodes
-// every round); the touched-set walk makes servedScans.
+// every round); the touched-set walk makes servedScans. With only the
+// flow's nodes' tables written, the job writes servedTableWrites table
+// rows (5,401 when every node's was) and its relays read
+// servedTableReads.
 const (
 	goldenServedDigest     = "64a42e0af0daa6f4"
 	goldenServedBroadcasts = 312
 	goldenServedRounds     = 16383
 	servedFullScans        = 1638300
 	servedScans            = 38634
+	servedTableWrites      = 794
+	servedTableReads       = 72698
 )
 
 // TestServedScanCount pins the drift scan's work on a served-shaped job:
@@ -116,14 +121,18 @@ func TestServedScanCount(t *testing.T) {
 	if w.beaconScans != servedScans || w.beaconScans*10 >= liveRounds {
 		t.Errorf("%d beacon scans, want %d (and below a tenth of the %d live node-rounds)", w.beaconScans, servedScans, liveRounds)
 	}
+	if w.tableWrites != servedTableWrites || w.tableReads != servedTableReads {
+		t.Errorf("table writes/reads = %d/%d, want %d/%d", w.tableWrites, w.tableReads, servedTableWrites, servedTableReads)
+	}
 }
 
 // BenchmarkServedJob runs the served-shaped job of seed 1 per op, set-up
 // (placement, seeding, AODV discovery) untimed, and reports the drift
-// scan's shouldBeacon evaluations as beacon-scans/op: a deterministic
-// count, which benchgate fails on any change.
+// scan's shouldBeacon evaluations as beacon-scans/op and the rows written
+// into neighbor tables, set-up included, as table-writes/op:
+// deterministic counts, which benchgate fails on any change.
 func BenchmarkServedJob(b *testing.B) {
-	var scans uint64
+	var scans, writes uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w := buildServedWorld(b, 1)
@@ -132,6 +141,8 @@ func BenchmarkServedJob(b *testing.B) {
 			b.Fatal(err)
 		}
 		scans += w.beaconScans
+		writes += w.tableWrites
 	}
 	b.ReportMetric(float64(scans)/float64(b.N), "beacon-scans/op")
+	b.ReportMetric(float64(writes)/float64(b.N), "table-writes/op")
 }

@@ -22,10 +22,14 @@ import (
 // battery may have changed since a HELLO round last visited it: by
 // moveNode and by node.Battery, through which every energy draw goes.
 // A round's drift scan visits only the set bits (see hello_round.go).
+//
+// reader marks the nodes whose neighbor tables are written as beacons
+// arrive (see tables.go).
 type nodeStore struct {
 	pos       []geom.Point
 	batteries []energy.Battery
 	dead      []bool
+	reader    []bool
 	touched   []uint64
 }
 
@@ -38,6 +42,7 @@ func newNodeStore(positions []geom.Point, energies []float64) nodeStore {
 		pos:       append([]geom.Point(nil), positions...),
 		batteries: make([]energy.Battery, n),
 		dead:      make([]bool, n),
+		reader:    make([]bool, n),
 		touched:   make([]uint64, (n+63)/64),
 	}
 	for i := range st.batteries {

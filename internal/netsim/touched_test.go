@@ -203,7 +203,7 @@ func TestChargedRoundsPinned(t *testing.T) {
 	}
 	for _, s := range scenes {
 		t.Run(s.sc.name, func(t *testing.T) {
-			run := runRoundPath(t, s.sc.config(), false, beaconBatchPairs, defaultRoundSplit(), 0)
+			run := runRoundPath(t, s.sc.config(), pathLazy, 0, defaultRoundSplit(), 0)
 			if run.batched {
 				t.Fatal("a charged round took the batched path")
 			}

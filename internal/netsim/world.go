@@ -85,10 +85,17 @@ type World struct {
 	beaconScans     uint64
 	perMessageHello bool
 	afterRound      func()
+	// log stands in for the tables of the nodes that are not readers
+	// (see tables.go). tableWrites counts the rows written into tables,
+	// replay and compaction included, and tableReads the rows relays
+	// read from them.
+	log         tableLog
+	tableWrites uint64
+	tableReads  uint64
 	// topoGraph caches Graph's result until a node moves: flows are
 	// added before Run, when no node has moved, so one graph serves them
 	// all (rebuilding it per flow is quadratic pain at 100k nodes and
-	// 1000 flows).
+	// 1000 flows). NewWorld builds it for the seeding.
 	topoGraph *topo.Graph
 
 	beaconer   *hello.Beaconer
@@ -177,7 +184,7 @@ func NewWorld(cfg Config, positions []geom.Point, energies []float64) (*World, e
 }
 
 // newWorld is NewWorld with the HELLO round split given, so tests can
-// force the data-parallel seeding and rounds onto small scenes.
+// force the data-parallel rounds onto small scenes.
 func newWorld(cfg Config, positions []geom.Point, energies []float64, split roundSplit) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,8 +221,7 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 		return nil, err
 	}
 	w := &World{cfg: cfg, sched: sched, medium: medium, firstDeath: -1, injector: injector,
-		observing: cfg.Sink != nil,
-		beacons:   beaconBatch{maxPairs: beaconBatchPairs}, round: split}
+		observing: cfg.Sink != nil, round: split}
 	w.rows.build = w.rows.builder.Rows
 	if cfg.NeighborIndex == spatial.KindBrute {
 		w.rows.build = spatial.BruteRows
@@ -237,19 +243,14 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 	w.store = newNodeStore(positions, energies)
 	w.nodes = make([]*node, 0, len(positions))
 	for i := range positions {
-		n := &node{
-			id:        i,
-			world:     w,
-			neighbors: hello.NewTable(cfg.NeighborTTL),
-			flows:     core.NewTable(),
-		}
+		n := &node{id: i, world: w, flows: core.NewTable()}
 		w.nodes = append(w.nodes, n)
 		if err := medium.Register(i, n); err != nil {
 			return nil, err
 		}
 	}
 	medium.UseLocator(worldLocator{w})
-	w.seedNeighborTables()
+	w.seedTables()
 	// Adopt the fault layer's crash/recovery schedule (node IDs can only
 	// be range-checked here, once the node count is known).
 	if cfg.Faults != nil {
@@ -269,43 +270,6 @@ func newWorld(cfg Config, positions []geom.Point, energies []float64, split roun
 
 // retryEnabled reports whether the hop-by-hop retry/ack transport is on.
 func (w *World) retryEnabled() bool { return w.cfg.Faults.RetryEnabled() }
-
-// seedNeighborTables performs the initial HELLO exchange: every node
-// learns its in-range neighbors' position and energy at t=0. Each node's
-// row yields its neighborhood ascending, so each table is filled by one
-// UpdateBatch merge at its exact size, reading neighbor state straight
-// from the node store. Nodes are independent — row and store reads plus
-// one table each — so a world of at least round.minSenders nodes seeds
-// contiguous ID ranges on the round workers.
-func (w *World) seedNeighborTables() {
-	w.freshRows()
-	parts := w.round.parts(len(w.nodes))
-	workers := w.roundWorkers(parts)
-	if parts == 1 {
-		w.seedRange(w.nodes, &workers[0])
-		return
-	}
-	fork(parts, func(k int) {
-		w.seedRange(w.nodes[k*len(w.nodes)/parts:(k+1)*len(w.nodes)/parts], &workers[k])
-	})
-}
-
-// seedRange seeds the tables of one worker's run of nodes, using the
-// worker's buffers.
-func (w *World) seedRange(nodes []*node, rw *roundWorker) {
-	st := &w.store
-	buf, rows := rw.ids[:0], rw.rows[:0]
-	for _, n := range nodes {
-		n.lastAdvert = n.beacon()
-		buf = w.appendInRange(buf[:0], n.id)
-		rows = rows[:0]
-		for _, id := range buf {
-			rows = append(rows, hello.Beacon{ID: id, Position: st.pos[id], Residual: st.batteries[id].Residual()})
-		}
-		n.neighbors.UpdateBatch(rows, 0)
-	}
-	rw.ids, rw.rows = buf, rows
-}
 
 // Graph returns the unit-disk connectivity graph over current positions.
 // It is built once and returned again until a node moves.
@@ -408,7 +372,7 @@ func (w *World) AddFlow(spec FlowSpec) (core.FlowID, error) {
 		if i < len(path)-1 {
 			next = path[i+1]
 		}
-		w.nodes[nid].flows.Allocate(&seed, prev, next)
+		w.joinFlow(nid, &seed, prev, next)
 	}
 	return id, nil
 }
@@ -805,15 +769,7 @@ func (w *World) markAlive(n *node) {
 	}
 	w.store.dead[n.id] = false
 	w.trace(trace.Event{At: w.sched.Now(), Kind: trace.KindNodeRecovered, Node: n.id, Pos: n.pos()})
-	b := w.beaconBoxes.get()
-	*b = n.beacon()
-	_, err := w.medium.Broadcast(n.id, w.cfg.HelloBits, energy.CatControl, b)
-	w.beaconBoxes.put(b)
-	if err != nil {
-		w.noteDepletion(n, err)
-		return
-	}
-	n.lastAdvert = *b
+	n.sendBeacon()
 }
 
 // motionTick is one ambient-motion step of the whole world. It re-arms
@@ -938,7 +894,7 @@ func (w *World) repairFlow(fr *flowRuntime, at NodeID) bool {
 		if i < len(newPath)-1 {
 			next = newPath[i+1]
 		}
-		e := w.nodes[newPath[i]].flows.Allocate(&seed, prev, next)
+		e := w.joinFlow(newPath[i], &seed, prev, next)
 		e.Prev, e.Next = prev, next
 	}
 	w.transport.RouteRepairs++
