@@ -55,10 +55,12 @@ fuzz:
 # so a coverage drop there means an unpinned path. The radio floor guards
 # the medium's broadcast paths, pinned against Broadcast by its
 # differential tests. The scenario floor guards submit-time validation:
-# Load must reject whatever Build would.
+# Load must reject whatever Build would. The experiments floor guards the
+# trial engine every Monte-Carlo driver runs through, pinned by the
+# per-driver output digests and the interrupt-and-resume table.
 COVER_FLOORS = repro/internal/sweep:88 repro/internal/serve:83 repro/internal/dsweep:80 \
 	repro/internal/sim:97 repro/internal/netsim:82 repro/internal/radio:95.5 \
-	repro/internal/scenario:92.1
+	repro/internal/scenario:92.1 repro/internal/experiments:89
 
 cover:
 	@for spec in $(COVER_FLOORS); do \

@@ -8,6 +8,7 @@ package imobif
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -59,7 +60,7 @@ func benchFig6(b *testing.B, variant string) {
 	var last experiments.Fig6Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunFig6(p, variant)
+		last, err = experiments.RunFig6Ctx(context.Background(), p, variant)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func BenchmarkFig6b(b *testing.B) {
 	var last experiments.Fig6bResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunFig6b(p)
+		last, err = experiments.RunFig6bCtx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func BenchmarkSweep(b *testing.B) {
 			var last experiments.Fig6Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				last, err = experiments.RunFig6(p, "c")
+				last, err = experiments.RunFig6Ctx(context.Background(), p, "c")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -138,7 +139,7 @@ func BenchmarkFig7(b *testing.B) {
 	var last experiments.Fig7Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunFig7(p)
+		last, err = experiments.RunFig7Ctx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func BenchmarkFig8(b *testing.B) {
 	var last experiments.Fig8Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunFig8(p)
+		last, err = experiments.RunFig8Ctx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func BenchmarkAblationFlowLength(b *testing.B) {
 	p := benchParamsFig6(b, "a")
 	p.Flows = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFlowLengthSensitivity(p, []float64{0.5, 1, 2}); err != nil {
+		if _, err := experiments.RunFlowLengthSensitivityCtx(context.Background(), p, []float64{0.5, 1, 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,7 +181,7 @@ func BenchmarkAblationRelaySelection(b *testing.B) {
 	p := benchParamsFig6(b, "a")
 	p.Flows = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunRelaySelection(p); err != nil {
+		if _, err := experiments.RunRelaySelectionCtx(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -191,7 +192,7 @@ func BenchmarkAblationMultiFlow(b *testing.B) {
 	p := benchParamsFig6(b, "a")
 	p.Flows = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunMultiFlow(p, 2); err != nil {
+		if _, err := experiments.RunMultiFlowCtx(context.Background(), p, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkAblationControlOverhead(b *testing.B) {
 	p := benchParamsFig6(b, "a")
 	p.Flows = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunControlOverhead(p); err != nil {
+		if _, err := experiments.RunControlOverheadCtx(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func BenchmarkAblationStepSweep(b *testing.B) {
 	p := benchParamsFig6(b, "a")
 	p.Flows = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunStepSweep(p, []float64{1, 10}); err != nil {
+		if _, err := experiments.RunStepSweepCtx(context.Background(), p, []float64{1, 10}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +229,7 @@ func BenchmarkAblationAlphaPrime(b *testing.B) {
 	var last experiments.AlphaPrimeQualityResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunAlphaPrimeQuality(p)
+		last, err = experiments.RunAlphaPrimeQualityCtx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -644,7 +645,7 @@ func BenchmarkExtensionRecruitment(b *testing.B) {
 	var last experiments.RecruitmentResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.RunRelayRecruitment(p)
+		last, err = experiments.RunRelayRecruitmentCtx(context.Background(), p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -658,7 +659,7 @@ func BenchmarkExtensionThresholdSweep(b *testing.B) {
 	p := benchParamsFig6(b, "c")
 	p.Flows = 3
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunThresholdSweep(p, []float64{8e4, 8e7}); err != nil {
+		if _, err := experiments.RunThresholdSweepCtx(context.Background(), p, []float64{8e4, 8e7}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -29,7 +30,9 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/prof"
+	"repro/internal/stats"
 )
 
 // runOpts carries the sweep-level settings into each figure runner.
@@ -44,9 +47,9 @@ type runOpts struct {
 	// paper's density (100 nodes/km²).
 	nodes int
 	field float64
-	// checkpoint journals each figure sweep through the distributed
-	// sweep fabric (one JSONL file per driver in this directory); resume
-	// loads existing checkpoints and re-runs only missing trials.
+	// checkpoint journals every Monte-Carlo sweep through the distributed
+	// sweep fabric (one JSONL file per sweep cell in this directory);
+	// resume loads existing checkpoints and re-runs only missing trials.
 	checkpoint string
 	resume     bool
 }
@@ -79,7 +82,7 @@ func main() {
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
 	nodes := flag.Int("nodes", 0, "override network size (0 = paper's value; pairs with -field)")
 	field := flag.Float64("field", 0, "override square field side in meters (0 with -nodes = auto-scale to the paper's 100 nodes/km²)")
-	checkpoint := flag.String("checkpoint", "", "directory for per-figure sweep checkpoints (crash recovery; figures 6-8)")
+	checkpoint := flag.String("checkpoint", "", "directory for per-sweep checkpoints (crash recovery)")
 	resume := flag.Bool("resume", false, "resume from existing checkpoints, re-running only missing trials")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -183,17 +186,6 @@ func writeCSV(dir, name string, header []string, rows [][]string) error {
 
 func f2s(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 func runFig5(opts runOpts) error {
 	csvDir := opts.csvDir
 	p := experiments.ParamsFig7() // base parameters
@@ -235,7 +227,7 @@ func fig6Runner(variant string) func(runOpts) error {
 			return err
 		}
 		p = opts.params(p)
-		res, err := experiments.RunFig6(p, variant)
+		res, err := experiments.RunFig6Ctx(context.Background(), p, variant)
 		if err != nil {
 			return err
 		}
@@ -266,7 +258,7 @@ func runFig6b(opts runOpts) error {
 		return err
 	}
 	p = opts.params(p)
-	res, err := experiments.RunFig6b(p)
+	res, err := experiments.RunFig6bCtx(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -287,7 +279,7 @@ func runFig6b(opts runOpts) error {
 func runFig7(opts runOpts) error {
 	csvDir := opts.csvDir
 	p := opts.params(experiments.ParamsFig7())
-	res, err := experiments.RunFig7(p)
+	res, err := experiments.RunFig7Ctx(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -305,7 +297,7 @@ func runFig7(opts runOpts) error {
 func runFig8(opts runOpts) error {
 	csvDir := opts.csvDir
 	p := opts.params(experiments.ParamsFig8())
-	res, err := experiments.RunFig8(p)
+	res, err := experiments.RunFig8Ctx(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -328,7 +320,7 @@ func runFig8(opts runOpts) error {
 
 func runMobility(opts runOpts) error {
 	p := opts.params(experiments.ParamsMobility())
-	res, err := experiments.RunMobilityModels(p)
+	res, err := experiments.RunMobilityModelsCtx(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -354,7 +346,7 @@ func runMobility(opts runOpts) error {
 
 func runStrategies(opts runOpts) error {
 	p := opts.params(experiments.ParamsStrategies())
-	res, err := experiments.RunStrategyComparison(p)
+	res, err := experiments.RunStrategyComparisonCtx(context.Background(), p)
 	if err != nil {
 		return err
 	}
@@ -374,9 +366,10 @@ func runStrategies(opts runOpts) error {
 }
 
 func runAblations(opts runOpts) error {
-	flows, seed, csvDir := opts.flows, opts.seed, opts.csvDir
-	if flows > 30 {
-		flows = 30 // ablations sweep many configurations
+	ctx := context.Background()
+	csvDir := opts.csvDir
+	if opts.flows > 30 {
+		opts.flows = 30 // ablations sweep many configurations
 	}
 	// Ablations run on the long-flow configuration, where the enable
 	// decision is actually in play (on short flows iMobif simply never
@@ -385,13 +378,14 @@ func runAblations(opts runOpts) error {
 	if err != nil {
 		return err
 	}
-	base.Flows = flows
-	base.Seed = seed
-	base.Concurrency = opts.concurrency
+	base = opts.params(base)
 	base.MaxFlowBits = 4 * base.MeanFlowBits
+	// The multi-flow and threshold studies run half as many trials.
+	half := base
+	half.Flows = max(base.Flows/2, 2)
 
 	fmt.Println("=== Ablation A1: inaccurate flow-length estimates ===")
-	sens, err := experiments.RunFlowLengthSensitivity(base, nil)
+	sens, err := experiments.RunFlowLengthSensitivityCtx(ctx, base, nil)
 	if err != nil {
 		return err
 	}
@@ -405,7 +399,7 @@ func runAblations(opts runOpts) error {
 	}
 
 	fmt.Println("\n=== Ablation A2: relay selection (route planner) ===")
-	rel, err := experiments.RunRelaySelection(base)
+	rel, err := experiments.RunRelaySelectionCtx(ctx, base)
 	if err != nil {
 		return err
 	}
@@ -415,12 +409,7 @@ func runAblations(opts runOpts) error {
 	}
 
 	fmt.Println("\n=== Ablation A3: multiple concurrent flows ===")
-	multiBase := base
-	multiBase.Flows = flows / 2
-	if multiBase.Flows < 2 {
-		multiBase.Flows = 2
-	}
-	multi, err := experiments.RunMultiFlow(multiBase, 3)
+	multi, err := experiments.RunMultiFlowCtx(ctx, half, 3)
 	if err != nil {
 		return err
 	}
@@ -428,7 +417,7 @@ func runAblations(opts runOpts) error {
 		multi.Completed, multi.Total, multi.AvgRatioInformed)
 
 	fmt.Println("\n=== Ablation A4: control-traffic cost ===")
-	ctrl, err := experiments.RunControlOverhead(base)
+	ctrl, err := experiments.RunControlOverheadCtx(ctx, base)
 	if err != nil {
 		return err
 	}
@@ -436,7 +425,7 @@ func runAblations(opts runOpts) error {
 		ctrl.FreeAvgRatio, ctrl.ChargedAvgRatio, ctrl.AvgControlJoules)
 
 	fmt.Println("\n=== Ablation A5: max movement per packet ===")
-	steps, err := experiments.RunStepSweep(base, nil)
+	steps, err := experiments.RunStepSweepCtx(ctx, base, nil)
 	if err != nil {
 		return err
 	}
@@ -446,15 +435,7 @@ func runAblations(opts runOpts) error {
 	}
 
 	fmt.Println("\n=== Extension: relay recruitment (selection + positioning, paper §5) ===")
-	recP, err := experiments.ParamsFig6("c")
-	if err != nil {
-		return err
-	}
-	recP.Flows = flows
-	recP.Seed = seed
-	recP.Concurrency = opts.concurrency
-	recP.MaxFlowBits = 4 * recP.MeanFlowBits
-	rec, err := experiments.RunRelayRecruitment(recP)
+	rec, err := experiments.RunRelayRecruitmentCtx(ctx, base)
 	if err != nil {
 		return err
 	}
@@ -471,29 +452,20 @@ func runAblations(opts runOpts) error {
 		}
 	}
 	fmt.Printf("  flows >= 150 Mbit: avg ratio %.3f over %d  |  shorter: avg ratio %.3f over %d\n",
-		mean(longR), len(longR), mean(shortR), len(shortR))
+		stats.Mean(longR), len(longR), stats.Mean(shortR), len(shortR))
 
 	fmt.Println("\n=== Extension: flow-length threshold sweep (break-even crossover) ===")
-	thrP := recP
-	thrP.Flows = flows / 2
-	if thrP.Flows < 2 {
-		thrP.Flows = 2
-	}
-	points2, err := experiments.RunThresholdSweep(thrP, []float64{8e4, 8e6, 8e7, 4e8})
+	points, err := experiments.RunThresholdSweepCtx(ctx, half, []float64{8e4, 8e6, 8e7, 4e8})
 	if err != nil {
 		return err
 	}
-	for _, pt := range points2 {
+	for _, pt := range points {
 		fmt.Printf("flow %-10.0f KB: cost-unaware %.3f  imobif %.3f  activation %.0f%%\n",
 			pt.FlowBits/8/1024, pt.AvgRatioCostUnaware, pt.AvgRatioInformed, 100*pt.ActivationRate)
 	}
 
 	fmt.Println("\n=== Ablation A6: α′ approximation vs exact Theorem 1 solve ===")
-	p8 := experiments.ParamsFig8()
-	p8.Flows = flows
-	p8.Seed = seed
-	p8.Concurrency = opts.concurrency
-	a6, err := experiments.RunAlphaPrimeQuality(p8)
+	a6, err := experiments.RunAlphaPrimeQualityCtx(ctx, opts.params(experiments.ParamsFig8()))
 	if err != nil {
 		return err
 	}
@@ -525,7 +497,7 @@ func runScaling(opts runOpts) error {
 		return err
 	}
 	fmt.Printf("=== Extension: scaling — wall-clock throughput across nodes × procs (degree %.0f, horizon %.0fs) ===\n",
-		p.TargetDegree, float64(p.Horizon))
+		float64(netsim.ScaleTargetDegree), float64(p.Horizon))
 	fmt.Println("(procs = GOMAXPROCS, HELLO rounds split over min(procs, 8) workers; node-sim/s = simulated node-seconds per wall second)")
 	fmt.Printf("%-9s %-8s %-8s %-10s %-13s %-10s\n",
 		"nodes", "procs", "flows", "wall(s)", "node-sim/s", "completed")

@@ -97,12 +97,3 @@ func TestRunAllFiguresSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMeanHelper(t *testing.T) {
-	if got := mean(nil); got != 0 {
-		t.Errorf("mean(nil) = %v", got)
-	}
-	if got := mean([]float64{1, 3}); got != 2 {
-		t.Errorf("mean = %v", got)
-	}
-}

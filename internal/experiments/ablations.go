@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // Ablations: the paper's §5 future-work studies and the design-choice
@@ -25,11 +24,11 @@ type SensitivityPoint struct {
 	AvgRatioInformed float64
 }
 
-// RunFlowLengthSensitivity sweeps the flow-length estimation error and
+// RunFlowLengthSensitivityCtx sweeps the flow-length estimation error and
 // reports how the informed approach's energy ratio degrades — the paper's
 // §5: "we will study the impact of inaccurate estimates of flow length on
 // the energy performance of the framework."
-func RunFlowLengthSensitivity(p Params, scales []float64) ([]SensitivityPoint, error) {
+func RunFlowLengthSensitivityCtx(ctx context.Context, p Params, scales []float64) ([]SensitivityPoint, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.25, 0.5, 1, 2, 4}
 	}
@@ -40,7 +39,7 @@ func RunFlowLengthSensitivity(p Params, scales []float64) ([]SensitivityPoint, e
 		}
 		q := p
 		q.EstimateScale = s
-		res, err := RunFig6(q, fmt.Sprintf("A1 scale=%v", s))
+		res, err := RunFig6Ctx(ctx, q, fmt.Sprintf("A1 scale=%v", s))
 		if err != nil {
 			return nil, err
 		}
@@ -66,10 +65,10 @@ type PlannerOutcome struct {
 	AvgPathLen       float64
 }
 
-// RunRelaySelection evaluates greedy (the paper's), minimum-hop, and
+// RunRelaySelectionCtx evaluates greedy (the paper's), minimum-hop, and
 // minimum-energy route planners under the informed framework on the given
 // configuration.
-func RunRelaySelection(p Params) (RelaySelectionResult, error) {
+func RunRelaySelectionCtx(ctx context.Context, p Params) (RelaySelectionResult, error) {
 	planners := []routing.Planner{
 		routing.GreedyPlanner{},
 		routing.MinHopPlanner{},
@@ -79,20 +78,15 @@ func RunRelaySelection(p Params) (RelaySelectionResult, error) {
 	for _, pl := range planners {
 		q := p
 		q.Planner = pl
-		fig, err := RunFig6(q, "A2 "+pl.Name())
+		fig, err := RunFig6Ctx(ctx, q, "A2 "+pl.Name())
 		if err != nil {
 			return RelaySelectionResult{}, err
-		}
-		var lens, totals []float64
-		for _, row := range fig.Rows {
-			lens = append(lens, float64(row.PathLen))
-			totals = append(totals, row.Informed.Total())
 		}
 		res.Planners = append(res.Planners, PlannerOutcome{
 			Name:             pl.Name(),
 			AvgRatioInformed: fig.AvgRatioInformed,
-			AvgInformedTotal: stats.Mean(totals),
-			AvgPathLen:       stats.Mean(lens),
+			AvgInformedTotal: meanOf(fig.Rows, func(r EnergyRow) float64 { return r.Informed.Total() }),
+			AvgPathLen:       meanOf(fig.Rows, func(r EnergyRow) float64 { return float64(r.PathLen) }),
 		})
 	}
 	return res, nil
@@ -107,29 +101,25 @@ type ControlOverheadResult struct {
 	AvgControlJoules float64
 }
 
-// RunControlOverhead compares the informed approach with free versus
+// RunControlOverheadCtx compares the informed approach with free versus
 // charged control traffic.
-func RunControlOverhead(p Params) (ControlOverheadResult, error) {
+func RunControlOverheadCtx(ctx context.Context, p Params) (ControlOverheadResult, error) {
 	free := p
 	free.ChargeControl = false
-	freeRes, err := RunFig6(free, "A4 free")
+	freeRes, err := RunFig6Ctx(ctx, free, "A4 free")
 	if err != nil {
 		return ControlOverheadResult{}, err
 	}
 	charged := p
 	charged.ChargeControl = true
-	chargedRes, err := RunFig6(charged, "A4 charged")
+	chargedRes, err := RunFig6Ctx(ctx, charged, "A4 charged")
 	if err != nil {
 		return ControlOverheadResult{}, err
-	}
-	var ctrl []float64
-	for _, row := range chargedRes.Rows {
-		ctrl = append(ctrl, row.Informed.Control)
 	}
 	return ControlOverheadResult{
 		FreeAvgRatio:     freeRes.AvgRatioInformed,
 		ChargedAvgRatio:  chargedRes.AvgRatioInformed,
-		AvgControlJoules: stats.Mean(ctrl),
+		AvgControlJoules: meanOf(chargedRes.Rows, func(r EnergyRow) float64 { return r.Informed.Control }),
 	}, nil
 }
 
@@ -140,9 +130,9 @@ type StepSweepPoint struct {
 	AvgFlips         float64
 }
 
-// RunStepSweep sweeps the per-packet movement cap: small steps converge
+// RunStepSweepCtx sweeps the per-packet movement cap: small steps converge
 // slowly (less benefit captured), large steps approach teleportation.
-func RunStepSweep(p Params, steps []float64) ([]StepSweepPoint, error) {
+func RunStepSweepCtx(ctx context.Context, p Params, steps []float64) ([]StepSweepPoint, error) {
 	if len(steps) == 0 {
 		steps = []float64{1, 5, 10, 25, 50}
 	}
@@ -153,18 +143,14 @@ func RunStepSweep(p Params, steps []float64) ([]StepSweepPoint, error) {
 		}
 		q := p
 		q.MaxStep = s
-		res, err := RunFig6(q, fmt.Sprintf("A5 step=%v", s))
+		res, err := RunFig6Ctx(ctx, q, fmt.Sprintf("A5 step=%v", s))
 		if err != nil {
 			return nil, err
-		}
-		var flips []float64
-		for _, row := range res.Rows {
-			flips = append(flips, float64(row.InformedFlips))
 		}
 		out = append(out, StepSweepPoint{
 			MaxStep:          s,
 			AvgRatioInformed: res.AvgRatioInformed,
-			AvgFlips:         stats.Mean(flips),
+			AvgFlips:         meanOf(res.Rows, func(r EnergyRow) float64 { return float64(r.InformedFlips) }),
 		})
 	}
 	return out, nil
@@ -180,10 +166,11 @@ type AlphaPrimeQualityResult struct {
 	AvgRatioExact  float64
 }
 
-// RunAlphaPrimeQuality runs the Figure 8 lifetime experiment with the α′
-// approximation and with the exact numeric split, quantifying what the
-// paper's "simple approximation" costs.
-func RunAlphaPrimeQuality(p Params) (AlphaPrimeQualityResult, error) {
+// RunAlphaPrimeQualityCtx runs the Figure 8 lifetime experiment with the
+// α′ approximation and with the exact numeric split, quantifying what the
+// paper's "simple approximation" costs. Each run journals as its own cell,
+// "fig8 A6 " plus the strategy name.
+func RunAlphaPrimeQualityCtx(ctx context.Context, p Params) (AlphaPrimeQualityResult, error) {
 	table, err := energy.NewPowerTable(p.Tx, p.Range, 256)
 	if err != nil {
 		return AlphaPrimeQualityResult{}, err
@@ -194,13 +181,13 @@ func RunAlphaPrimeQuality(p Params) (AlphaPrimeQualityResult, error) {
 	}
 	approx := p
 	approx.StrategyName = mobility.MaxLifetime{}.Name()
-	approxRes, err := RunFig8(approx)
+	approxRes, err := runFig8(ctx, approx, "fig8 A6 "+approx.StrategyName)
 	if err != nil {
 		return AlphaPrimeQualityResult{}, err
 	}
 	exact := p
 	exact.StrategyName = mobility.MaxLifetimeExact{}.Name()
-	exactRes, err := RunFig8(exact)
+	exactRes, err := runFig8(ctx, exact, "fig8 A6 "+exact.StrategyName)
 	if err != nil {
 		return AlphaPrimeQualityResult{}, err
 	}
@@ -226,41 +213,32 @@ type MultiFlowResult struct {
 // multiFlowWorld is one world's outcome in the A3 study; worlds where
 // greedy routing could not place a single flow are invalid.
 type multiFlowWorld struct {
-	valid     bool
-	completed int
-	total     int
-	ratio     float64
+	Valid     bool
+	Completed int
+	Total     int
+	Ratio     float64
 }
 
-// RunMultiFlow places several simultaneous flows in each world and
+// RunMultiFlowCtx places several simultaneous flows in each world and
 // compares network-wide energy between informed and no-mobility modes.
-func RunMultiFlow(p Params, flowsPerWorld int) (MultiFlowResult, error) {
-	return RunMultiFlowCtx(context.Background(), p, flowsPerWorld)
-}
-
-// RunMultiFlowCtx is RunMultiFlow with cancellation; worlds run as
-// parallel sweep trials.
+// World i hosts instances i·flowsPerWorld … i·flowsPerWorld+flowsPerWorld−1
+// of the seed's instance stream, re-planned on the placement of the
+// first; worlds run as sweep trials, journaled as cell "multiflow N".
 func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlowResult, error) {
 	if flowsPerWorld < 1 {
 		return MultiFlowResult{}, fmt.Errorf("experiments: flowsPerWorld %d below 1", flowsPerWorld)
 	}
-	cfg, err := p.config()
-	if err != nil {
-		return MultiFlowResult{}, err
-	}
-	// Reuse the instance generator for endpoints: each "world" takes
-	// flowsPerWorld consecutive instances re-planned on one shared
-	// placement.
-	q := p
-	q.Flows = p.Flows * flowsPerWorld
-	instances, err := GenInstancesCtx(ctx, q)
-	if err != nil {
-		return MultiFlowResult{}, err
-	}
-	worlds, _, err := sweep.Map(ctx, p.runner(), len(instances)/flowsPerWorld, func(_ context.Context, trial int) (multiFlowWorld, error) {
-		i := trial * flowsPerWorld
+	cell := fmt.Sprintf("multiflow %d", flowsPerWorld)
+	worlds, err := runTrials(ctx, p, cell, nil, func(cfg netsim.Config, trial int) (multiFlowWorld, error) {
+		instances := make([]Instance, flowsPerWorld)
+		for j := range instances {
+			var err error
+			if instances[j], err = GenInstance(p, trial*flowsPerWorld+j); err != nil {
+				return multiFlowWorld{}, err
+			}
+		}
 		// One placement hosts all flows of this world.
-		host := instances[i]
+		host := instances[0]
 		runWorld := func(mode netsim.Mode) (netsim.Result, int, error) {
 			run := cfg
 			run.Mode = mode
@@ -269,8 +247,7 @@ func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlo
 				return netsim.Result{}, 0, err
 			}
 			added := 0
-			for j := 0; j < flowsPerWorld; j++ {
-				inst := instances[i+j]
+			for _, inst := range instances {
 				// Re-plan endpoints on the host placement; skip pairs
 				// greedy cannot route here.
 				g, err := w.Graph()
@@ -305,11 +282,11 @@ func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlo
 		if nb == 0 || ni == 0 {
 			return multiFlowWorld{}, nil
 		}
-		out := multiFlowWorld{valid: true, ratio: stats.Ratio(inf.Energy.Total(), base.Energy.Total())}
+		out := multiFlowWorld{Valid: true, Ratio: stats.Ratio(inf.Energy.Total(), base.Energy.Total())}
 		for _, f := range inf.Flows {
-			out.total++
+			out.Total++
 			if f.Completed {
-				out.completed++
+				out.Completed++
 			}
 		}
 		return out, nil
@@ -320,12 +297,12 @@ func RunMultiFlowCtx(ctx context.Context, p Params, flowsPerWorld int) (MultiFlo
 	res := MultiFlowResult{FlowsPerWorld: flowsPerWorld}
 	var ratios []float64
 	for _, w := range worlds {
-		if !w.valid {
+		if !w.Valid {
 			continue
 		}
-		res.Completed += w.completed
-		res.Total += w.total
-		ratios = append(ratios, w.ratio)
+		res.Completed += w.Completed
+		res.Total += w.Total
+		ratios = append(ratios, w.Ratio)
 	}
 	res.AvgRatioInformed = stats.Mean(ratios)
 	return res, nil

@@ -8,21 +8,22 @@ import (
 	"testing"
 )
 
-// The figure drivers accept a checkpoint directory (Params.Checkpoint)
-// and journal each sweep through the distributed-sweep fabric. These
-// tests pin the wiring: checkpointed runs are byte-identical to plain
-// runs, an interrupted run resumes re-running only the missing trials,
-// and checkpoints never cross drivers or parameterizations.
+// The Monte-Carlo drivers accept a checkpoint directory
+// (Params.Checkpoint) and journal each sweep cell through the
+// distributed-sweep fabric. These tests pin the wiring: checkpointed runs
+// are byte-identical to plain runs, and checkpoints never cross cells or
+// parameterizations. TestDriversResumeAfterInterrupt (drivers_test.go)
+// covers interrupt and resume for every driver.
 
 func TestCheckpointedFig6MatchesPlain(t *testing.T) {
 	p := detParams(t, "a")
 	p.Concurrency = 2
-	plain, err := RunFig6(p, "a")
+	plain, err := RunFig6Ctx(context.Background(), p, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Checkpoint = t.TempDir()
-	ckpt, err := RunFig6(p, "a")
+	ckpt, err := RunFig6Ctx(context.Background(), p, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestCheckpointedFig6MatchesPlain(t *testing.T) {
 	// Re-running the completed checkpoint with Resume replays it wholesale
 	// and still matches.
 	p.Resume = true
-	replay, err := RunFig6(p, "a")
+	replay, err := RunFig6Ctx(context.Background(), p, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,58 +45,15 @@ func TestCheckpointedFig6MatchesPlain(t *testing.T) {
 	}
 }
 
-func TestCheckpointedFig7and8ResumeAfterInterrupt(t *testing.T) {
-	for _, tc := range []struct {
-		driver string
-		run    func(ctx context.Context, p Params) (any, error)
-		params func() Params
-	}{
-		{"fig7", func(ctx context.Context, p Params) (any, error) { return RunFig7Ctx(ctx, p) }, ParamsFig7},
-		{"fig8", func(ctx context.Context, p Params) (any, error) { return RunFig8Ctx(ctx, p) }, ParamsFig8},
-	} {
-		t.Run(tc.driver, func(t *testing.T) {
-			p := tc.params()
-			p.Flows = 6
-			p.MaxFlowBits = 2 * p.MeanFlowBits
-			p.Concurrency = 1
-			plain, err := tc.run(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := marshal(t, plain)
-
-			// Interrupt a checkpointed run at the earliest possible point
-			// (before any trial completes): the checkpoint holds only its
-			// manifest, the worst case resume has to recover from.
-			p.Checkpoint = t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := tc.run(ctx, p); err == nil {
-				t.Fatal("canceled run reported success")
-			}
-
-			// Resume and require byte identity with the plain run.
-			p.Resume = true
-			resumed, err := tc.run(context.Background(), p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := marshal(t, resumed); !bytes.Equal(got, want) {
-				t.Fatalf("resumed %s differs from plain run:\n%s\nvs\n%s", tc.driver, got, want)
-			}
-		})
-	}
-}
-
 func TestCheckpointRejectsChangedParams(t *testing.T) {
 	p := detParams(t, "a")
 	p.Checkpoint = t.TempDir()
-	if _, err := RunFig6(p, "a"); err != nil {
+	if _, err := RunFig6Ctx(context.Background(), p, "a"); err != nil {
 		t.Fatal(err)
 	}
 	p.Resume = true
 	p.Seed++ // a different sweep entirely
-	if _, err := RunFig6(p, "a"); err == nil {
+	if _, err := RunFig6Ctx(context.Background(), p, "a"); err == nil {
 		t.Fatal("resume accepted a checkpoint from different parameters")
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -64,7 +65,7 @@ func TestDeterminismGenInstances(t *testing.T) {
 		p := detParams(t, "a")
 		p.Flows = 16
 		p.Concurrency = c
-		return GenInstances(p)
+		return GenInstancesCtx(context.Background(), p)
 	})
 }
 
@@ -72,15 +73,15 @@ func TestDeterminismFig6(t *testing.T) {
 	assertDeterminism(t, "RunFig6", func(c int) (any, error) {
 		p := detParams(t, "a")
 		p.Concurrency = c
-		return RunFig6(p, "a")
+		return RunFig6Ctx(context.Background(), p, "a")
 	})
 }
 
 func TestDeterminismFig6LongFlows(t *testing.T) {
-	assertDeterminism(t, "RunFig6(c)", func(c int) (any, error) {
+	assertDeterminism(t, "RunFig6Ctx(context.Background(), c)", func(c int) (any, error) {
 		p := detParams(t, "c")
 		p.Concurrency = c
-		return RunFig6(p, "c")
+		return RunFig6Ctx(context.Background(), p, "c")
 	})
 }
 
@@ -88,7 +89,7 @@ func TestDeterminismFig6b(t *testing.T) {
 	assertDeterminism(t, "RunFig6b", func(c int) (any, error) {
 		p := detParams(t, "a")
 		p.Concurrency = c
-		return RunFig6b(p)
+		return RunFig6bCtx(context.Background(), p)
 	})
 }
 
@@ -98,7 +99,7 @@ func TestDeterminismFig7(t *testing.T) {
 		p.Flows = 6
 		p.MaxFlowBits = 2 * p.MeanFlowBits
 		p.Concurrency = c
-		return RunFig7(p)
+		return RunFig7Ctx(context.Background(), p)
 	})
 }
 
@@ -108,7 +109,7 @@ func TestDeterminismFig8(t *testing.T) {
 		p.Flows = 6
 		p.MaxFlowBits = 2 * p.MeanFlowBits
 		p.Concurrency = c
-		return RunFig8(p)
+		return RunFig8Ctx(context.Background(), p)
 	})
 }
 
@@ -127,7 +128,7 @@ func TestDeterminismRelayRecruitment(t *testing.T) {
 		p := detParams(t, "c")
 		p.Flows = 4
 		p.Concurrency = c
-		return RunRelayRecruitment(p)
+		return RunRelayRecruitmentCtx(context.Background(), p)
 	})
 }
 
@@ -136,7 +137,7 @@ func TestDeterminismThresholdSweep(t *testing.T) {
 		p := detParams(t, "c")
 		p.Flows = 3
 		p.Concurrency = c
-		return RunThresholdSweep(p, []float64{8e4, 8e7})
+		return RunThresholdSweepCtx(context.Background(), p, []float64{8e4, 8e7})
 	})
 }
 
@@ -145,7 +146,7 @@ func TestDeterminismMultiFlow(t *testing.T) {
 		p := detParams(t, "a")
 		p.Flows = 3
 		p.Concurrency = c
-		return RunMultiFlow(p, 2)
+		return RunMultiFlowCtx(context.Background(), p, 2)
 	})
 }
 
@@ -156,14 +157,14 @@ func TestRaceExperimentsParallelSweep(t *testing.T) {
 	p := detParams(t, "a")
 	p.Flows = 8
 	p.Concurrency = 8
-	if _, err := RunFig6(p, "a"); err != nil {
+	if _, err := RunFig6Ctx(context.Background(), p, "a"); err != nil {
 		t.Fatal(err)
 	}
 	p8 := ParamsFig8()
 	p8.Flows = 4
 	p8.MaxFlowBits = 2 * p8.MeanFlowBits
 	p8.Concurrency = 8
-	if _, err := RunFig8(p8); err != nil {
+	if _, err := RunFig8Ctx(context.Background(), p8); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,14 +8,9 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 
-	"repro/internal/dsweep"
 	"repro/internal/energy"
 	"repro/internal/fault"
 	"repro/internal/geom"
@@ -86,8 +81,9 @@ type Params struct {
 	MinPathLen int
 	// Motion attaches an ambient-mobility model (see internal/motion):
 	// every node drifts under it, independent of the iMobif strategy's
-	// informed relay movement. Nil or stationary is the classic static
-	// deployment of the paper's own evaluation.
+	// informed relay movement, with a per-trial derived seed. Nil or
+	// stationary is the classic static deployment of the paper's own
+	// evaluation.
 	Motion *motion.Config
 	// Concurrency is the number of parallel sweep workers (0 = all
 	// CPUs, 1 = serial). Every trial draws its randomness from an
@@ -95,54 +91,17 @@ type Params struct {
 	// bit-identical at any concurrency; like the sweep stats, it is
 	// execution metadata and excluded from marshaled results.
 	Concurrency int `json:"-"`
-	// Checkpoint, when non-empty, is a directory in which each figure
-	// sweep journals completed trials through the distributed-sweep
-	// fabric (internal/dsweep), one JSONL file per driver, so an
-	// interrupted run resumes re-running only the missing trials.
+	// Checkpoint, when non-empty, is a directory in which every
+	// Monte-Carlo driver journals completed trials through the
+	// distributed-sweep fabric (internal/dsweep), one JSONL file per
+	// sweep cell, so an interrupted run resumes re-running only the
+	// missing trials.
 	// Execution metadata, like Concurrency: checkpointed and plain runs
 	// produce bit-identical results.
 	Checkpoint string `json:"-"`
 	// Resume loads existing checkpoint files under Checkpoint instead of
 	// failing on them.
 	Resume bool `json:"-"`
-}
-
-// runner returns the sweep runner for these parameters.
-func (p Params) runner() sweep.Runner {
-	return sweep.Runner{Concurrency: p.Concurrency}
-}
-
-// sweepManifest derives the checkpoint identity of one driver's sweep:
-// the SHA-256 of the driver name plus the canonical (execution-metadata
-// free) JSON of the parameters, so a checkpoint can never feed trials
-// from one parameterization or driver into another's aggregates.
-func (p Params) sweepManifest(driver string) (dsweep.Manifest, error) {
-	b, err := json.Marshal(p)
-	if err != nil {
-		return dsweep.Manifest{}, fmt.Errorf("experiments: fingerprinting params: %w", err)
-	}
-	sum := sha256.Sum256(append([]byte(driver+"\n"), b...))
-	return dsweep.Manifest{
-		Fingerprint: hex.EncodeToString(sum[:]),
-		Trials:      p.Flows,
-		Name:        driver,
-	}, nil
-}
-
-// runSweep is the figure drivers' sweep entry point: a plain sweep.Map
-// when p.Checkpoint is empty, and a journaled (checkpoint/resume) sweep
-// through dsweep.MapJSON otherwise, one JSONL file per driver under the
-// checkpoint directory.
-func runSweep[T any](ctx context.Context, p Params, driver string, fn func(ctx context.Context, trial int) (T, error)) ([]T, metrics.SweepStats, error) {
-	if p.Checkpoint == "" {
-		return sweep.Map(ctx, p.runner(), p.Flows, fn)
-	}
-	m, err := p.sweepManifest(driver)
-	if err != nil {
-		return nil, metrics.SweepStats{}, err
-	}
-	path := filepath.Join(p.Checkpoint, driver+".jsonl")
-	return dsweep.MapJSON(ctx, p.runner(), p.Flows, m, path, p.Resume, fn)
 }
 
 func baseParams() Params {
@@ -339,13 +298,9 @@ func quantizeTiers(energies []float64, lo, hi float64, tiers int) {
 	}
 }
 
-// GenInstances draws the p.Flows Monte-Carlo instances on the sweep
-// runner, one independent trial stream per instance.
-func GenInstances(p Params) ([]Instance, error) {
-	return GenInstancesCtx(context.Background(), p)
-}
-
-// GenInstancesCtx is GenInstances with cancellation.
+// GenInstancesCtx draws the p.Flows Monte-Carlo instances on the sweep
+// runner, one independent trial stream per instance; canceling ctx
+// aborts the draw.
 func GenInstancesCtx(ctx context.Context, p Params) ([]Instance, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -354,22 +309,6 @@ func GenInstancesCtx(ctx context.Context, p Params) ([]Instance, error) {
 		return GenInstance(p, trial)
 	})
 	return instances, err
-}
-
-// runMode executes one instance under one mode of the sweep's config.
-func runMode(cfg netsim.Config, inst Instance, mode netsim.Mode) (netsim.Result, error) {
-	cfg.Mode = mode
-	w, err := netsim.NewWorld(cfg, inst.Positions, inst.Energies)
-	if err != nil {
-		return netsim.Result{}, err
-	}
-	if _, err := w.AddFlow(netsim.FlowSpec{
-		Src: inst.Src, Dst: inst.Dst, LengthBits: inst.FlowBits,
-		Path: append([]int(nil), inst.Path...),
-	}); err != nil {
-		return netsim.Result{}, err
-	}
-	return w.Run()
 }
 
 // EnergyRow is one Figure 6 scatter point: per-approach energy and the
@@ -403,66 +342,40 @@ type Fig6Result struct {
 	Sweep metrics.SweepStats `json:"-"`
 }
 
-// fig6Trial runs one Monte-Carlo trial of a Figure 6 panel: generate the
-// trial's instance and execute it under all three modes.
-func fig6Trial(p Params, cfg netsim.Config, trial int) (EnergyRow, error) {
-	inst, err := GenInstance(p, trial)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	base, err := runMode(cfg, inst, netsim.ModeNoMobility)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	cu, err := runMode(cfg, inst, netsim.ModeCostUnaware)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	inf, err := runMode(cfg, inst, netsim.ModeInformed)
-	if err != nil {
-		return EnergyRow{}, err
-	}
-	return EnergyRow{
-		FlowBits:              inst.FlowBits,
-		PathLen:               len(inst.Path),
-		Baseline:              base.Energy,
-		CostUnaware:           cu.Energy,
-		Informed:              inf.Energy,
-		RatioCostUnaware:      stats.Ratio(cu.Energy.Total(), base.Energy.Total()),
-		RatioInformed:         stats.Ratio(inf.Energy.Total(), base.Energy.Total()),
-		InformedFlips:         inf.Outcome().StatusFlips,
-		InformedNotifications: inf.Outcome().Notifications,
-	}, nil
-}
-
-// RunFig6 reproduces one panel of the paper's Figure 6: for each flow
+// RunFig6Ctx reproduces one panel of the paper's Figure 6: for each flow
 // instance, total energy under cost-unaware and informed mobility relative
-// to the no-mobility baseline.
-func RunFig6(p Params, variant string) (Fig6Result, error) {
-	return RunFig6Ctx(context.Background(), p, variant)
-}
-
-// RunFig6Ctx is RunFig6 with cancellation: canceling ctx aborts the
-// sweep, as does the first trial error.
+// to the no-mobility baseline. Canceling ctx aborts the sweep, as does the
+// first trial error. The panel journals as cell "fig6"+variant.
 func RunFig6Ctx(ctx context.Context, p Params, variant string) (Fig6Result, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return Fig6Result{}, err
-	}
-	rows, sw, err := runSweep(ctx, p, "fig6"+variant, func(_ context.Context, trial int) (EnergyRow, error) {
-		return fig6Trial(p, cfg, trial)
+	res := Fig6Result{Variant: variant, Params: p}
+	rows, err := runTrials(ctx, p, "fig6"+variant, &res.Sweep, func(cfg netsim.Config, trial int) (EnergyRow, error) {
+		inst, err := GenInstance(p, trial)
+		if err != nil {
+			return EnergyRow{}, err
+		}
+		r, err := runModes(cfg, inst, paperModes...)
+		if err != nil {
+			return EnergyRow{}, err
+		}
+		base, cu, inf := r[0], r[1], r[2]
+		return EnergyRow{
+			FlowBits:              inst.FlowBits,
+			PathLen:               len(inst.Path),
+			Baseline:              base.Energy,
+			CostUnaware:           cu.Energy,
+			Informed:              inf.Energy,
+			RatioCostUnaware:      stats.Ratio(cu.Energy.Total(), base.Energy.Total()),
+			RatioInformed:         stats.Ratio(inf.Energy.Total(), base.Energy.Total()),
+			InformedFlips:         inf.Outcome().StatusFlips,
+			InformedNotifications: inf.Outcome().Notifications,
+		}, nil
 	})
 	if err != nil {
 		return Fig6Result{}, err
 	}
-	res := Fig6Result{Variant: variant, Params: p, Rows: rows, Sweep: sw}
-	var ratiosCU, ratiosInf []float64
-	for _, row := range rows {
-		ratiosCU = append(ratiosCU, row.RatioCostUnaware)
-		ratiosInf = append(ratiosInf, row.RatioInformed)
-	}
-	res.AvgRatioCostUnaware = stats.Mean(ratiosCU)
-	res.AvgRatioInformed = stats.Mean(ratiosInf)
+	res.Rows = rows
+	res.AvgRatioCostUnaware = meanOf(rows, func(r EnergyRow) float64 { return r.RatioCostUnaware })
+	res.AvgRatioInformed = meanOf(rows, func(r EnergyRow) float64 { return r.RatioInformed })
 	return res, nil
 }
 
@@ -477,28 +390,19 @@ type Fig6bResult struct {
 	Sweep           metrics.SweepStats `json:"-"`
 }
 
-// RunFig6b derives the Figure 6(b) comparison from a Figure 6(a)-style
-// run.
-func RunFig6b(p Params) (Fig6bResult, error) {
-	return RunFig6bCtx(context.Background(), p)
-}
-
-// RunFig6bCtx is RunFig6b with cancellation.
+// RunFig6bCtx derives the Figure 6(b) comparison from a Figure
+// 6(a)-style run (journaled as cell "fig6b").
 func RunFig6bCtx(ctx context.Context, p Params) (Fig6bResult, error) {
 	fig6, err := RunFig6Ctx(ctx, p, "b")
 	if err != nil {
 		return Fig6bResult{}, err
 	}
-	res := Fig6bResult{Sweep: fig6.Sweep}
-	var move, tx []float64
-	for _, row := range fig6.Rows {
-		res.Rows = append(res.Rows, row)
-		move = append(move, row.CostUnaware.Move)
-		tx = append(tx, row.CostUnaware.Tx)
-	}
-	res.AvgMobility = stats.Mean(move)
-	res.AvgTransmission = stats.Mean(tx)
-	return res, nil
+	return Fig6bResult{
+		Rows:            fig6.Rows,
+		AvgMobility:     meanOf(fig6.Rows, func(r EnergyRow) float64 { return r.CostUnaware.Move }),
+		AvgTransmission: meanOf(fig6.Rows, func(r EnergyRow) float64 { return r.CostUnaware.Tx }),
+		Sweep:           fig6.Sweep,
+	}, nil
 }
 
 // Fig7Result reproduces Figure 7: the number of notification packets per
@@ -511,33 +415,25 @@ type Fig7Result struct {
 	Sweep  metrics.SweepStats `json:"-"`
 }
 
-// RunFig7 runs the informed mode over the Figure 7 configuration and
+// RunFig7Ctx runs the informed mode over the Figure 7 configuration and
 // collects notification counts.
-func RunFig7(p Params) (Fig7Result, error) {
-	return RunFig7Ctx(context.Background(), p)
-}
-
-// RunFig7Ctx is RunFig7 with cancellation.
 func RunFig7Ctx(ctx context.Context, p Params) (Fig7Result, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	counts, sw, err := runSweep(ctx, p, "fig7", func(_ context.Context, trial int) (int, error) {
+	var res Fig7Result
+	counts, err := runTrials(ctx, p, "fig7", &res.Sweep, func(cfg netsim.Config, trial int) (int, error) {
 		inst, err := GenInstance(p, trial)
 		if err != nil {
 			return 0, err
 		}
-		r, err := runMode(cfg, inst, netsim.ModeInformed)
+		r, err := runModes(cfg, inst, netsim.ModeInformed)
 		if err != nil {
 			return 0, err
 		}
-		return r.Outcome().Notifications, nil
+		return r[0].Outcome().Notifications, nil
 	})
 	if err != nil {
 		return Fig7Result{}, err
 	}
-	res := Fig7Result{Counts: counts, Sweep: sw}
+	res.Counts = counts
 	var sum int
 	for _, n := range counts {
 		sum += n
@@ -577,39 +473,28 @@ type Fig8Result struct {
 	Sweep               metrics.SweepStats `json:"-"`
 }
 
-// RunFig8 reproduces the system-lifetime experiment.
-func RunFig8(p Params) (Fig8Result, error) {
-	return RunFig8Ctx(context.Background(), p)
+// RunFig8Ctx reproduces the system-lifetime experiment.
+func RunFig8Ctx(ctx context.Context, p Params) (Fig8Result, error) {
+	return runFig8(ctx, p, "fig8")
 }
 
-// RunFig8Ctx is RunFig8 with cancellation.
-func RunFig8Ctx(ctx context.Context, p Params) (Fig8Result, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return Fig8Result{}, err
-	}
-	rows, sw, err := runSweep(ctx, p, "fig8", func(_ context.Context, trial int) (LifetimeRow, error) {
+// runFig8 runs the lifetime experiment journaled as cell.
+func runFig8(ctx context.Context, p Params, cell string) (Fig8Result, error) {
+	res := Fig8Result{Params: p}
+	rows, err := runTrials(ctx, p, cell, &res.Sweep, func(cfg netsim.Config, trial int) (LifetimeRow, error) {
 		inst, err := GenInstance(p, trial)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
-		base, err := runMode(cfg, inst, netsim.ModeNoMobility)
-		if err != nil {
-			return LifetimeRow{}, err
-		}
-		cu, err := runMode(cfg, inst, netsim.ModeCostUnaware)
-		if err != nil {
-			return LifetimeRow{}, err
-		}
-		inf, err := runMode(cfg, inst, netsim.ModeInformed)
+		r, err := runModes(cfg, inst, paperModes...)
 		if err != nil {
 			return LifetimeRow{}, err
 		}
 		row := LifetimeRow{
 			FlowBits:    inst.FlowBits,
-			Baseline:    float64(base.Outcome().Lifetime()),
-			CostUnaware: float64(cu.Outcome().Lifetime()),
-			Informed:    float64(inf.Outcome().Lifetime()),
+			Baseline:    float64(r[0].Outcome().Lifetime()),
+			CostUnaware: float64(r[1].Outcome().Lifetime()),
+			Informed:    float64(r[2].Outcome().Lifetime()),
 		}
 		row.RatioCostUnaware = stats.Ratio(row.CostUnaware, row.Baseline)
 		row.RatioInformed = stats.Ratio(row.Informed, row.Baseline)
@@ -618,7 +503,7 @@ func RunFig8Ctx(ctx context.Context, p Params) (Fig8Result, error) {
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	res := Fig8Result{Params: p, Rows: rows, Sweep: sw}
+	res.Rows = rows
 	var ratiosCU, ratiosInf []float64
 	for _, row := range rows {
 		ratiosCU = append(ratiosCU, row.RatioCostUnaware)
@@ -671,11 +556,10 @@ func RunFig5(p Params) (Fig5Result, error) {
 	p.MeanFlowBits = 8e7 // long enough to converge
 	p.MaxFlowBits = 8e7
 	p.EnergyLo, p.EnergyHi = 5e3, 1e4
-	instances, err := GenInstances(p)
+	inst, err := GenInstance(p, 0)
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	inst := instances[0]
 	inst.FlowBits = 8e7
 
 	var res Fig5Result

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -73,11 +74,11 @@ func TestParamsValidate(t *testing.T) {
 
 func TestGenInstancesDeterministic(t *testing.T) {
 	p := small(baseParams())
-	a, err := GenInstances(p)
+	a, err := GenInstancesCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenInstances(p)
+	b, err := GenInstancesCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestGenInstancesDeterministic(t *testing.T) {
 	// Different seed differs.
 	p2 := p
 	p2.Seed = 999
-	c, err := GenInstances(p2)
+	c, err := GenInstancesCtx(context.Background(), p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestGenInstancesDeterministic(t *testing.T) {
 
 func TestGenInstancesProperties(t *testing.T) {
 	p := small(baseParams())
-	instances, err := GenInstances(p)
+	instances, err := GenInstancesCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestRunFig6ShortFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFig6(small(p), "a")
+	res, err := RunFig6Ctx(context.Background(), small(p), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestRunFig6LongFlows(t *testing.T) {
 	// seed exhibits the typical case (the panel averages it also checks
 	// are robust across seeds).
 	q.Seed = 3
-	res, err := RunFig6(q, "c")
+	res, err := RunFig6Ctx(context.Background(), q, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,11 +216,11 @@ func TestRunFig6MobilityCostOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := RunFig6(small(pd), "d")
+	rd, err := RunFig6Ctx(context.Background(), small(pd), "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := RunFig6(small(pe), "e")
+	re, err := RunFig6Ctx(context.Background(), small(pe), "e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestRunFig6b(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFig6b(small(p))
+	res, err := RunFig6bCtx(context.Background(), small(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestRunFig6b(t *testing.T) {
 
 func TestRunFig7(t *testing.T) {
 	p := small(ParamsFig7())
-	res, err := RunFig7(p)
+	res, err := RunFig7Ctx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestRunFig7(t *testing.T) {
 
 func TestRunFig8(t *testing.T) {
 	p := small(ParamsFig8())
-	res, err := RunFig8(p)
+	res, err := RunFig8Ctx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestRunFlowLengthSensitivity(t *testing.T) {
 	}
 	p = small(p)
 	p.Flows = 6
-	points, err := RunFlowLengthSensitivity(p, []float64{0.5, 1, 2})
+	points, err := RunFlowLengthSensitivityCtx(context.Background(), p, []float64{0.5, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestRunFlowLengthSensitivity(t *testing.T) {
 			t.Errorf("scale %v: informed ratio %v blew up", pt.EstimateScale, pt.AvgRatioInformed)
 		}
 	}
-	if _, err := RunFlowLengthSensitivity(p, []float64{0}); err == nil {
+	if _, err := RunFlowLengthSensitivityCtx(context.Background(), p, []float64{0}); err == nil {
 		t.Error("zero scale should error")
 	}
 }
@@ -378,7 +379,7 @@ func TestRunRelaySelection(t *testing.T) {
 	}
 	p = small(p)
 	p.Flows = 6
-	res, err := RunRelaySelection(p)
+	res, err := RunRelaySelectionCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestRunControlOverhead(t *testing.T) {
 	}
 	p = small(p)
 	p.Flows = 6
-	res, err := RunControlOverhead(p)
+	res, err := RunControlOverheadCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestRunStepSweep(t *testing.T) {
 	}
 	p = small(p)
 	p.Flows = 6
-	points, err := RunStepSweep(p, []float64{5, 20})
+	points, err := RunStepSweepCtx(context.Background(), p, []float64{5, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestRunStepSweep(t *testing.T) {
 			t.Errorf("step %v: bad ratio %v", pt.MaxStep, pt.AvgRatioInformed)
 		}
 	}
-	if _, err := RunStepSweep(p, []float64{-1}); err == nil {
+	if _, err := RunStepSweepCtx(context.Background(), p, []float64{-1}); err == nil {
 		t.Error("negative step should error")
 	}
 }
@@ -449,7 +450,7 @@ func TestRunStepSweep(t *testing.T) {
 func TestRunAlphaPrimeQuality(t *testing.T) {
 	p := small(ParamsFig8())
 	p.Flows = 6
-	res, err := RunAlphaPrimeQuality(p)
+	res, err := RunAlphaPrimeQualityCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +470,7 @@ func TestRunMultiFlow(t *testing.T) {
 	}
 	p = small(p)
 	p.Flows = 4
-	res, err := RunMultiFlow(p, 2)
+	res, err := RunMultiFlowCtx(context.Background(), p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestRunMultiFlow(t *testing.T) {
 	if res.AvgRatioInformed <= 0 || res.AvgRatioInformed > 1.5 {
 		t.Errorf("multi-flow informed ratio = %v", res.AvgRatioInformed)
 	}
-	if _, err := RunMultiFlow(p, 0); err == nil {
+	if _, err := RunMultiFlowCtx(context.Background(), p, 0); err == nil {
 		t.Error("zero flows per world should error")
 	}
 }
@@ -511,7 +512,7 @@ func TestRunThresholdSweep(t *testing.T) {
 	}
 	p.Flows = 5
 	lengths := []float64{8e4, 8e6, 4e8}
-	points, err := RunThresholdSweep(p, lengths)
+	points, err := RunThresholdSweepCtx(context.Background(), p, lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,10 +548,10 @@ func TestRunThresholdSweepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Flows = 2
-	if _, err := RunThresholdSweep(p, nil); err == nil {
+	if _, err := RunThresholdSweepCtx(context.Background(), p, nil); err == nil {
 		t.Error("empty lengths should error")
 	}
-	if _, err := RunThresholdSweep(p, []float64{0}); err == nil {
+	if _, err := RunThresholdSweepCtx(context.Background(), p, []float64{0}); err == nil {
 		t.Error("zero length should error")
 	}
 }

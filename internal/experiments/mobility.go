@@ -15,8 +15,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/motion"
 	"repro/internal/netsim"
-	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // MobilityModels lists the ambient-mobility models the experiment
@@ -87,59 +85,57 @@ func (r MobilityResult) Cell(model, strategy string) MobilityCell {
 	return MobilityCell{}
 }
 
-// mobilityRow is one trial's contribution to a cell.
-type mobilityRow struct {
-	delivery  float64
-	completed float64
-	lifetime  float64
-	residual  float64
+// informedRow is one informed run's contribution to a cell of the
+// mobility or strategy table; it is journaled, so its fields are
+// exported.
+type informedRow struct {
+	TotalJ, TxJ, MoveJ float64
+	Delivery           float64
+	Completed          float64
+	Lifetime           float64
+	Residual           float64
 }
 
-// mobilityTrial runs trial's shared instance under one (model, strategy)
-// cell. The instance depends only on (p.Seed, trial) — not on the cell —
-// so every cell sees identical placements, energies, and flows: a paired
-// comparison. The ambient-motion layer gets its own per-trial stream
-// derived from the cell config's motion seed, never from the instance
-// stream.
-func mobilityTrial(p Params, cfg netsim.Config, trial int) (mobilityRow, error) {
+// informedTrial runs trial's shared instance once in informed mode. The
+// instance depends only on (p.Seed, trial), never on the cell, so every
+// cell of a table sees identical placements, energies, and flows: a
+// paired comparison. The ambient-motion and fault layers draw from
+// per-trial streams the engine derives from the cell config's seeds.
+// replan drops the instance's greedy-planned path, so the world plans
+// with the planner its strategy provides.
+func informedTrial(p Params, cfg netsim.Config, trial int, replan bool) (informedRow, error) {
 	inst, err := GenInstance(p, trial)
 	if err != nil {
-		return mobilityRow{}, err
+		return informedRow{}, err
 	}
-	if cfg.Motion.Enabled() {
-		mc := *cfg.Motion
-		mc.Seed = int64(sweep.DeriveSeed(mc.Seed, uint64(trial)))
-		cfg.Motion = &mc
+	if replan {
+		inst.Path = nil
 	}
-	res, err := runMode(cfg, inst, netsim.ModeInformed)
+	rs, err := runModes(cfg, inst, netsim.ModeInformed)
 	if err != nil {
-		return mobilityRow{}, err
+		return informedRow{}, err
 	}
-	out := res.Outcome()
-	row := mobilityRow{
-		delivery: out.DeliveryRatio(),
-		lifetime: float64(out.Lifetime()),
+	res, out := rs[0], rs[0].Outcome()
+	row := informedRow{
+		TotalJ:   res.Energy.Total(),
+		TxJ:      res.Energy.Tx,
+		MoveJ:    res.Energy.Move,
+		Delivery: out.DeliveryRatio(),
+		Lifetime: float64(out.Lifetime()),
 	}
 	if out.Completed {
-		row.completed = 1
+		row.Completed = 1
 	}
 	if n := len(res.Final.Nodes); n > 0 {
-		row.residual = res.Final.TotalResidual() / float64(n)
+		row.Residual = res.Final.TotalResidual() / float64(n)
 	}
 	return row, nil
 }
 
-// RunMobilityModels sweeps every ambient-mobility model against both
-// strategies on identical flow instances.
-func RunMobilityModels(p Params) (MobilityResult, error) {
-	return RunMobilityModelsCtx(context.Background(), p)
-}
-
-// RunMobilityModelsCtx is RunMobilityModels with cancellation.
+// RunMobilityModelsCtx sweeps every ambient-mobility model against both
+// strategies on identical flow instances; each (model, strategy) cell
+// journals as "mobility <model> <strategy>".
 func RunMobilityModelsCtx(ctx context.Context, p Params) (MobilityResult, error) {
-	if err := p.Validate(); err != nil {
-		return MobilityResult{}, err
-	}
 	res := MobilityResult{Params: p}
 	for _, model := range MobilityModels() {
 		pm := p
@@ -152,32 +148,20 @@ func RunMobilityModelsCtx(ctx context.Context, p Params) (MobilityResult, error)
 		pm.Motion = &mc
 		for _, name := range MobilityStrategies() {
 			pm.StrategyName = name
-			cfg, err := pm.config()
-			if err != nil {
-				return MobilityResult{}, err
-			}
-			rows, sw, err := sweep.Map(ctx, pm.runner(), pm.Flows, func(_ context.Context, trial int) (mobilityRow, error) {
-				return mobilityTrial(pm, cfg, trial)
+			rows, err := runTrials(ctx, pm, "mobility "+model+" "+name, &res.Sweep, func(cfg netsim.Config, trial int) (informedRow, error) {
+				return informedTrial(pm, cfg, trial, false)
 			})
 			if err != nil {
 				return MobilityResult{}, err
 			}
-			cell := MobilityCell{Model: model, Strategy: name}
-			var delivery, completed, lifetime, residual []float64
-			for _, row := range rows {
-				delivery = append(delivery, row.delivery)
-				completed = append(completed, row.completed)
-				lifetime = append(lifetime, row.lifetime)
-				residual = append(residual, row.residual)
-			}
-			cell.DeliveryRatio = stats.Mean(delivery)
-			cell.Completed = stats.Mean(completed)
-			cell.Lifetime = stats.Mean(lifetime)
-			cell.MeanResidual = stats.Mean(residual)
-			res.Cells = append(res.Cells, cell)
-			res.Sweep.Trials += sw.Trials
-			res.Sweep.Workers = sw.Workers
-			res.Sweep.Elapsed += sw.Elapsed
+			res.Cells = append(res.Cells, MobilityCell{
+				Model:         model,
+				Strategy:      name,
+				DeliveryRatio: meanOf(rows, func(r informedRow) float64 { return r.Delivery }),
+				Completed:     meanOf(rows, func(r informedRow) float64 { return r.Completed }),
+				Lifetime:      meanOf(rows, func(r informedRow) float64 { return r.Lifetime }),
+				MeanResidual:  meanOf(rows, func(r informedRow) float64 { return r.Residual }),
+			})
 		}
 	}
 	return res, nil

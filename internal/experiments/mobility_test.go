@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestParamsMobility(t *testing.T) {
 }
 
 func TestRunMobilityModels(t *testing.T) {
-	res, err := RunMobilityModels(smallMobility())
+	res, err := RunMobilityModelsCtx(context.Background(), smallMobility())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestMobilityModelsSweepDeterminism(t *testing.T) {
 	run := func(workers int) []byte {
 		p := smallMobility()
 		p.Concurrency = workers
-		res, err := RunMobilityModels(p)
+		res, err := RunMobilityModelsCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

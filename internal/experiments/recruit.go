@@ -14,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/spatial"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // Relay recruitment (ablation A2+, the full form of the paper's §5 future
@@ -193,51 +192,40 @@ type RecruitmentResult struct {
 // recruitTrial is one trial's outcome; skipped trials (no feasible plan,
 // or a relay that cannot afford its deployment move) carry no row.
 type recruitTrial struct {
-	row     RecruitmentRow
-	skipped bool
+	Row     RecruitmentRow
+	Skipped bool
 }
 
-// RunRelayRecruitment compares, on common instances: (1) the no-mobility
-// greedy baseline, (2) standard iMobif on the greedy path, and (3) the
-// recruited optimal chain with up-front deployment.
-func RunRelayRecruitment(p Params) (RecruitmentResult, error) {
-	return RunRelayRecruitmentCtx(context.Background(), p)
-}
-
-// RunRelayRecruitmentCtx is RunRelayRecruitment with cancellation.
+// RunRelayRecruitmentCtx compares, on common instances: (1) the
+// no-mobility greedy baseline, (2) standard iMobif on the greedy path,
+// and (3) the recruited optimal chain with up-front deployment. The sweep
+// journals as cell "recruitment".
 func RunRelayRecruitmentCtx(ctx context.Context, p Params) (RecruitmentResult, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return RecruitmentResult{}, err
-	}
-	trials, sw, err := sweep.Map(ctx, p.runner(), p.Flows, func(_ context.Context, trial int) (recruitTrial, error) {
+	var res RecruitmentResult
+	trials, err := runTrials(ctx, p, "recruitment", &res.Sweep, func(cfg netsim.Config, trial int) (recruitTrial, error) {
 		inst, err := GenInstance(p, trial)
 		if err != nil {
 			return recruitTrial{}, err
 		}
-		base, err := runMode(cfg, inst, netsim.ModeNoMobility)
-		if err != nil {
-			return recruitTrial{}, err
-		}
-		informed, err := runMode(cfg, inst, netsim.ModeInformed)
+		r, err := runModes(cfg, inst, netsim.ModeNoMobility, netsim.ModeInformed)
 		if err != nil {
 			return recruitTrial{}, err
 		}
 		plan, err := PlanRecruitment(p.Tx, cfg.Mobility, inst.Positions, inst.Src, inst.Dst, p.Range)
 		if err != nil {
-			return recruitTrial{skipped: true}, nil
+			return recruitTrial{Skipped: true}, nil
 		}
 		recruited, ok, err := runRecruited(cfg, inst, plan)
 		if err != nil {
 			return recruitTrial{}, err
 		}
 		if !ok {
-			return recruitTrial{skipped: true}, nil
+			return recruitTrial{Skipped: true}, nil
 		}
-		return recruitTrial{row: RecruitmentRow{
+		return recruitTrial{Row: RecruitmentRow{
 			FlowBits:       inst.FlowBits,
-			Baseline:       base.Energy.Total(),
-			InformedGreedy: informed.Energy.Total(),
+			Baseline:       r[0].Energy.Total(),
+			InformedGreedy: r[1].Energy.Total(),
 			Recruited:      recruited,
 			DeployCost:     plan.DeployCost,
 			Slots:          len(plan.Slots),
@@ -246,21 +234,16 @@ func RunRelayRecruitmentCtx(ctx context.Context, p Params) (RecruitmentResult, e
 	if err != nil {
 		return RecruitmentResult{}, err
 	}
-	res := RecruitmentResult{Sweep: sw}
-	var rg, rr, dc []float64
 	for _, t := range trials {
-		if t.skipped {
+		if t.Skipped {
 			res.Skipped++
 			continue
 		}
-		res.Rows = append(res.Rows, t.row)
-		rg = append(rg, stats.Ratio(t.row.InformedGreedy, t.row.Baseline))
-		rr = append(rr, stats.Ratio(t.row.Recruited, t.row.Baseline))
-		dc = append(dc, t.row.DeployCost)
+		res.Rows = append(res.Rows, t.Row)
 	}
-	res.AvgRatioInformedGreedy = stats.Mean(rg)
-	res.AvgRatioRecruited = stats.Mean(rr)
-	res.AvgDeployCost = stats.Mean(dc)
+	res.AvgRatioInformedGreedy = meanOf(res.Rows, func(r RecruitmentRow) float64 { return stats.Ratio(r.InformedGreedy, r.Baseline) })
+	res.AvgRatioRecruited = meanOf(res.Rows, func(r RecruitmentRow) float64 { return stats.Ratio(r.Recruited, r.Baseline) })
+	res.AvgDeployCost = meanOf(res.Rows, func(r RecruitmentRow) float64 { return r.DeployCost })
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/energy"
@@ -113,7 +114,7 @@ func TestRunRelayRecruitment(t *testing.T) {
 	}
 	p.Flows = 6
 	p.MaxFlowBits = 2 * p.MeanFlowBits
-	res, err := RunRelayRecruitment(p)
+	res, err := RunRelayRecruitmentCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,10 @@ package experiments
 // (EXPERIMENTS.md "Scaling to 100k"). The procs axis is the cell's
 // GOMAXPROCS, which sets the HELLO round worker count (min(GOMAXPROCS,
 // 8), read when the world is built) and the cores those workers may use.
-// The scenario mirrors netsim's BenchmarkWorld100k builder so the figure
-// and the benchgate pin the same workload.
+// Every rung is netsim.NewScaleWorld, the scene BenchmarkWorld100k runs;
+// the benchmark pins placement seed 9001, while the figure places nodes
+// from the ScalingParams seed (imobif-figures -seed, default 1), so only
+// a run with -seed 9001 measures the benchmark's exact worlds.
 //
 // Unlike the other drivers this one measures wall time, so its numbers
 // are machine-dependent by design; the *simulation results* per cell stay
@@ -19,16 +21,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
-	"repro/internal/motion"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/spatial"
-	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // ScalingParams configures the scaling sweep.
@@ -43,9 +40,6 @@ type ScalingParams struct {
 	Procs []int
 	// Seed seeds node placement.
 	Seed int64
-	// TargetDegree is the expected radio-neighbor count the field side is
-	// sized for (the scenario keeps density constant across rungs).
-	TargetDegree float64
 	// Horizon is the virtual-time stop per run.
 	Horizon sim.Time
 }
@@ -55,12 +49,11 @@ type ScalingParams struct {
 // ambient drift.
 func ParamsScaling() ScalingParams {
 	return ScalingParams{
-		Nodes:        []int{5000, 20000, 100000},
-		FlowsPerK:    10,
-		Procs:        []int{1, 2},
-		Seed:         9001,
-		TargetDegree: 15,
-		Horizon:      1e5,
+		Nodes:     []int{5000, 20000, 100000},
+		FlowsPerK: 10,
+		Procs:     []int{1, 2},
+		Seed:      9001,
+		Horizon:   1e5,
 	}
 }
 
@@ -136,7 +129,7 @@ func RunScaling(p ScalingParams) (*ScalingResult, error) {
 // setting at construction to size its HELLO round workers.
 func runScalingCell(p ScalingParams, n, flows, procs int) (ScalingCell, error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	w, err := buildScalingWorld(p, n, flows)
+	w, err := netsim.NewScaleWorld(n, flows, p.Seed, p.Horizon)
 	if err != nil {
 		return ScalingCell{}, err
 	}
@@ -165,77 +158,4 @@ func runScalingCell(p ScalingParams, n, flows, procs int) (ScalingCell, error) {
 		cell.NodeSimPerWall = float64(n) * cell.SimSeconds / wall
 	}
 	return cell, nil
-}
-
-// buildScalingWorld constructs one rung's world: n nodes placed uniformly
-// at constant density, Gauss-Markov ambient drift, and short multi-hop
-// flows found by bounded BFS from rotating start nodes (linear in n, so
-// setup never dominates the measured run).
-func buildScalingWorld(p ScalingParams, n, flows int) (*netsim.World, error) {
-	r := netsim.DefaultConfig().Radio.Range
-	side := math.Sqrt(float64(n) * math.Pi * r * r / p.TargetDegree)
-	src := stats.NewSource(p.Seed)
-	pts := topo.PlaceUniform(src, n, side, side)
-	energies := make([]float64, n)
-	for i := range energies {
-		energies[i] = 1e6
-	}
-	cfg := netsim.DefaultConfig()
-	cfg.Mode = netsim.ModeNoMobility
-	cfg.NeighborIndex = spatial.KindGrid
-	cfg.Motion = &motion.Config{
-		Model: motion.ModelGaussMarkov, Seed: 7,
-		FieldW: side, FieldH: side,
-		SpeedLo: 0.5, SpeedHi: 1.5,
-	}
-	cfg.Horizon = p.Horizon
-	w, err := netsim.NewWorld(cfg, pts, energies)
-	if err != nil {
-		return nil, err
-	}
-	g, err := w.Graph()
-	if err != nil {
-		return nil, err
-	}
-	visited := make([]int, n)
-	for i := range visited {
-		visited[i] = -1
-	}
-	var queue []netsim.NodeID
-	added := 0
-	for start := 0; start < n && added < flows; start += n/flows + 1 {
-		queue = queue[:0]
-		queue = append(queue, start)
-		visited[start] = start
-		dst, depth := -1, 0
-		frontierEnd := 1
-		for i := 0; i < len(queue) && depth < 4; i++ {
-			if i == frontierEnd {
-				depth++
-				frontierEnd = len(queue)
-				if depth == 4 {
-					break
-				}
-			}
-			for _, nb := range g.Neighbors(queue[i]) {
-				if visited[nb] == start {
-					continue
-				}
-				visited[nb] = start
-				queue = append(queue, nb)
-				dst = nb
-			}
-		}
-		if dst < 0 || dst == start {
-			continue
-		}
-		if _, err := w.AddFlow(netsim.FlowSpec{Src: start, Dst: dst, LengthBits: 4 * cfg.PacketBits}); err != nil {
-			continue // unroutable corner placement; density makes this rare
-		}
-		added++
-	}
-	if added < flows/2 {
-		return nil, fmt.Errorf("experiments: only %d of %d flows routable at n=%d; placement density off", added, flows, n)
-	}
-	return w, nil
 }

@@ -18,8 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/netsim"
-	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // StrategyRegime is one channel condition of the comparison.
@@ -119,71 +117,10 @@ func (r StrategyResult) CSV() [][]string {
 	return rows
 }
 
-// strategyRow is one trial's contribution to a cell.
-type strategyRow struct {
-	totalJ    float64
-	txJ       float64
-	moveJ     float64
-	delivery  float64
-	completed float64
-	lifetime  float64
-	residual  float64
-}
-
-// strategyTrial runs trial's shared instance under one (strategy,
-// regime) cell. The instance depends only on (p.Seed, trial) — never on
-// the cell — so every strategy and regime sees identical placements,
-// tiered energies, and flows: a fully paired comparison. The fault
-// injector gets its own per-trial stream derived from the regime's
-// fault seed, never from the instance stream.
-func strategyTrial(p Params, cfg netsim.Config, trial int) (strategyRow, error) {
-	inst, err := GenInstance(p, trial)
-	if err != nil {
-		return strategyRow{}, err
-	}
-	if cfg.Faults != nil {
-		fc := *cfg.Faults
-		fc.Seed = int64(sweep.DeriveSeed(fc.Seed, uint64(trial)))
-		cfg.Faults = &fc
-	}
-	// Route selection is part of the strategy under comparison (the
-	// max-lifetime-routing baseline is *only* route selection), so drop
-	// the instance's greedy-planned path and let each world plan with the
-	// planner its strategy provides. Endpoints, placements, and energies
-	// stay shared, so the comparison remains paired.
-	inst.Path = nil
-	res, err := runMode(cfg, inst, netsim.ModeInformed)
-	if err != nil {
-		return strategyRow{}, err
-	}
-	out := res.Outcome()
-	row := strategyRow{
-		totalJ:   res.Energy.Total(),
-		txJ:      res.Energy.Tx,
-		moveJ:    res.Energy.Move,
-		delivery: out.DeliveryRatio(),
-		lifetime: float64(out.Lifetime()),
-	}
-	if out.Completed {
-		row.completed = 1
-	}
-	if n := len(res.Final.Nodes); n > 0 {
-		row.residual = res.Final.TotalResidual() / float64(n)
-	}
-	return row, nil
-}
-
-// RunStrategyComparison sweeps every registered strategy under every
-// channel regime on identical flow instances.
-func RunStrategyComparison(p Params) (StrategyResult, error) {
-	return RunStrategyComparisonCtx(context.Background(), p)
-}
-
-// RunStrategyComparisonCtx is RunStrategyComparison with cancellation.
+// RunStrategyComparisonCtx sweeps every registered strategy under every
+// channel regime on identical flow instances; each (strategy, regime)
+// cell journals as "strategies <regime> <strategy>".
 func RunStrategyComparisonCtx(ctx context.Context, p Params) (StrategyResult, error) {
-	if err := p.Validate(); err != nil {
-		return StrategyResult{}, err
-	}
 	names := mobility.Names()
 	sort.Strings(names)
 	regimes := StrategyRegimes()
@@ -197,38 +134,28 @@ func RunStrategyComparisonCtx(ctx context.Context, p Params) (StrategyResult, er
 			pc.StrategyName = name
 			pc.StrategyParams = nil
 			pc.Faults = reg.Faults
-			cfg, err := pc.config()
-			if err != nil {
-				return StrategyResult{}, err
-			}
-			rows, sw, err := sweep.Map(ctx, pc.runner(), pc.Flows, func(_ context.Context, trial int) (strategyRow, error) {
-				return strategyTrial(pc, cfg, trial)
+			// Route selection is part of the strategy under comparison
+			// (the max-lifetime-routing baseline is *only* route
+			// selection), so each world replans with the planner its
+			// strategy provides. Endpoints, placements, and tiered
+			// energies stay shared, so the comparison remains paired.
+			rows, err := runTrials(ctx, pc, "strategies "+reg.Name+" "+name, &res.Sweep, func(cfg netsim.Config, trial int) (informedRow, error) {
+				return informedTrial(pc, cfg, trial, true)
 			})
 			if err != nil {
 				return StrategyResult{}, err
 			}
-			cell := StrategyCell{Strategy: name, Regime: reg.Name}
-			var totalJ, txJ, moveJ, delivery, completed, lifetime, residual []float64
-			for _, row := range rows {
-				totalJ = append(totalJ, row.totalJ)
-				txJ = append(txJ, row.txJ)
-				moveJ = append(moveJ, row.moveJ)
-				delivery = append(delivery, row.delivery)
-				completed = append(completed, row.completed)
-				lifetime = append(lifetime, row.lifetime)
-				residual = append(residual, row.residual)
-			}
-			cell.TotalJ = stats.Mean(totalJ)
-			cell.TxJ = stats.Mean(txJ)
-			cell.MoveJ = stats.Mean(moveJ)
-			cell.DeliveryRatio = stats.Mean(delivery)
-			cell.Completed = stats.Mean(completed)
-			cell.Lifetime = stats.Mean(lifetime)
-			cell.MeanResidual = stats.Mean(residual)
-			res.Cells = append(res.Cells, cell)
-			res.Sweep.Trials += sw.Trials
-			res.Sweep.Workers = sw.Workers
-			res.Sweep.Elapsed += sw.Elapsed
+			res.Cells = append(res.Cells, StrategyCell{
+				Strategy:      name,
+				Regime:        reg.Name,
+				TotalJ:        meanOf(rows, func(r informedRow) float64 { return r.TotalJ }),
+				TxJ:           meanOf(rows, func(r informedRow) float64 { return r.TxJ }),
+				MoveJ:         meanOf(rows, func(r informedRow) float64 { return r.MoveJ }),
+				DeliveryRatio: meanOf(rows, func(r informedRow) float64 { return r.Delivery }),
+				Completed:     meanOf(rows, func(r informedRow) float64 { return r.Completed }),
+				Lifetime:      meanOf(rows, func(r informedRow) float64 { return r.Lifetime }),
+				MeanResidual:  meanOf(rows, func(r informedRow) float64 { return r.Residual }),
+			})
 		}
 	}
 	return res, nil

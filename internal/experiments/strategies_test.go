@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestParamsStrategies(t *testing.T) {
 }
 
 func TestRunStrategyComparison(t *testing.T) {
-	res, err := RunStrategyComparison(smallStrategies())
+	res, err := RunStrategyComparisonCtx(context.Background(), smallStrategies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestStrategyComparisonSweepDeterminism(t *testing.T) {
 		p := smallStrategies()
 		p.Flows = 2
 		p.Concurrency = workers
-		res, err := RunStrategyComparison(p)
+		res, err := RunStrategyComparisonCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 // ThresholdPoint is one sample of the flow-length sweep: the average
@@ -22,81 +21,61 @@ type ThresholdPoint struct {
 	ActivationRate float64
 }
 
-// RunThresholdSweep traces the mobility break-even crossover that Figure 6
-// shows implicitly across its panels: at each fixed flow length, the
-// average energy ratio of cost-unaware and informed mobility over common
-// instances. As the flow grows, the cost-unaware ratio descends through
-// 1.0, and iMobif's activation rate rises from 0 toward 1 around the point
-// where movement genuinely pays ([6]'s threshold observation, computed
-// online by the framework).
-func RunThresholdSweep(p Params, lengths []float64) ([]ThresholdPoint, error) {
-	return RunThresholdSweepCtx(context.Background(), p, lengths)
-}
-
 // thresholdSample is one (instance, length) trial of the sweep.
 type thresholdSample struct {
-	cu, inf   float64
-	activated bool
+	CU, Inf   float64
+	Activated bool
 }
 
-// RunThresholdSweepCtx is RunThresholdSweep with cancellation. The same
-// instances are reused at every length; per length, instances run on the
-// sweep runner.
+// RunThresholdSweepCtx traces the mobility break-even crossover that
+// Figure 6 shows implicitly across its panels: at each fixed flow length,
+// the average energy ratio of cost-unaware and informed mobility over
+// common instances. As the flow grows, the cost-unaware ratio descends
+// through 1.0, and iMobif's activation rate rises from 0 toward 1 around
+// the point where movement genuinely pays ([6]'s threshold observation,
+// computed online by the framework). Every length reruns the same
+// instances with their flow length fixed, as a sweep journaled as cell
+// "threshold <bits>".
 func RunThresholdSweepCtx(ctx context.Context, p Params, lengths []float64) ([]ThresholdPoint, error) {
 	if len(lengths) == 0 {
 		return nil, fmt.Errorf("experiments: no sweep lengths")
-	}
-	cfg, err := p.config()
-	if err != nil {
-		return nil, err
-	}
-	instances, err := GenInstancesCtx(ctx, p)
-	if err != nil {
-		return nil, err
 	}
 	out := make([]ThresholdPoint, 0, len(lengths))
 	for _, bits := range lengths {
 		if bits <= 0 {
 			return nil, fmt.Errorf("experiments: non-positive flow length %v", bits)
 		}
-		samples, _, err := sweep.Map(ctx, p.runner(), len(instances), func(_ context.Context, trial int) (thresholdSample, error) {
-			fixed := instances[trial]
-			fixed.FlowBits = bits
-			base, err := runMode(cfg, fixed, netsim.ModeNoMobility)
+		samples, err := runTrials(ctx, p, fmt.Sprintf("threshold %v", bits), nil, func(cfg netsim.Config, trial int) (thresholdSample, error) {
+			inst, err := GenInstance(p, trial)
 			if err != nil {
 				return thresholdSample{}, err
 			}
-			cuRes, err := runMode(cfg, fixed, netsim.ModeCostUnaware)
+			inst.FlowBits = bits
+			r, err := runModes(cfg, inst, paperModes...)
 			if err != nil {
 				return thresholdSample{}, err
 			}
-			infRes, err := runMode(cfg, fixed, netsim.ModeInformed)
-			if err != nil {
-				return thresholdSample{}, err
-			}
+			base := r[0].Energy.Total()
 			return thresholdSample{
-				cu:        stats.Ratio(cuRes.Energy.Total(), base.Energy.Total()),
-				inf:       stats.Ratio(infRes.Energy.Total(), base.Energy.Total()),
-				activated: infRes.Outcome().StatusFlips > 0,
+				CU:        stats.Ratio(r[1].Energy.Total(), base),
+				Inf:       stats.Ratio(r[2].Energy.Total(), base),
+				Activated: r[2].Outcome().StatusFlips > 0,
 			}, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		var cu, inf []float64
 		activated := 0
 		for _, s := range samples {
-			cu = append(cu, s.cu)
-			inf = append(inf, s.inf)
-			if s.activated {
+			if s.Activated {
 				activated++
 			}
 		}
 		out = append(out, ThresholdPoint{
 			FlowBits:            bits,
-			AvgRatioCostUnaware: stats.Mean(cu),
-			AvgRatioInformed:    stats.Mean(inf),
-			ActivationRate:      float64(activated) / float64(len(instances)),
+			AvgRatioCostUnaware: meanOf(samples, func(s thresholdSample) float64 { return s.CU }),
+			AvgRatioInformed:    meanOf(samples, func(s thresholdSample) float64 { return s.Inf }),
+			ActivationRate:      float64(activated) / float64(len(samples)),
 		})
 	}
 	return out, nil

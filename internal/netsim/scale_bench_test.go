@@ -1,14 +1,8 @@
 package netsim
 
 import (
-	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/motion"
-	"repro/internal/spatial"
-	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // The BenchmarkWorld100k family pins the scaling target of the
@@ -19,79 +13,13 @@ import (
 // benchgate targets) so the headline number stays pinned in
 // bench_baseline.txt.
 
-// buildScaleWorld places n nodes uniformly at ~15 expected radio
-// neighbors, arms ambient Gauss-Markov drift, and adds `flows` short
-// flows between endpoints a few hops apart (found by bounded BFS, so
-// setup stays linear in n instead of planning cross-field routes).
+// buildScaleWorld builds the scale scene at the benchmark's placement
+// seed (9001) and horizon.
 func buildScaleWorld(tb testing.TB, nodes, flows int) *World {
 	tb.Helper()
-	const targetDegree = 15
-	side := math.Sqrt(float64(nodes) * math.Pi * 200 * 200 / targetDegree)
-	src := stats.NewSource(9001)
-	pts := topo.PlaceUniform(src, nodes, side, side)
-	energies := make([]float64, nodes)
-	for i := range energies {
-		energies[i] = 1e6
-	}
-	cfg := DefaultConfig()
-	cfg.Mode = ModeNoMobility
-	cfg.NeighborIndex = spatial.KindGrid
-	cfg.Motion = &motion.Config{
-		Model: motion.ModelGaussMarkov, Seed: 7,
-		FieldW: side, FieldH: side,
-		SpeedLo: 0.5, SpeedHi: 1.5,
-	}
-	cfg.Horizon = 1e5
-	w, err := NewWorld(cfg, pts, energies)
+	w, err := NewScaleWorld(nodes, flows, 9001, 1e5)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	g, err := w.Graph()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Deterministic endpoints: BFS four hops out from a rotating start
-	// node and pick the last node discovered — a genuine multi-hop flow
-	// whose path length is independent of the field size.
-	visited := make([]int, nodes)
-	for i := range visited {
-		visited[i] = -1
-	}
-	var queue []NodeID
-	added := 0
-	for start := 0; start < nodes && added < flows; start += nodes/flows + 1 {
-		queue = queue[:0]
-		queue = append(queue, start)
-		visited[start] = start
-		dst, depth := -1, 0
-		frontierEnd := 1
-		for i := 0; i < len(queue) && depth < 4; i++ {
-			if i == frontierEnd {
-				depth++
-				frontierEnd = len(queue)
-				if depth == 4 {
-					break
-				}
-			}
-			for _, nb := range g.Neighbors(queue[i]) {
-				if visited[nb] == start {
-					continue
-				}
-				visited[nb] = start
-				queue = append(queue, nb)
-				dst = nb
-			}
-		}
-		if dst < 0 || dst == start {
-			continue
-		}
-		if _, err := w.AddFlow(FlowSpec{Src: start, Dst: dst, LengthBits: 4 * cfg.PacketBits}); err != nil {
-			continue // unroutable corner placement; density makes this rare
-		}
-		added++
-	}
-	if added < flows/2 {
-		tb.Fatalf("only %d of %d flows routable; placement density off", added, flows)
 	}
 	return w
 }
