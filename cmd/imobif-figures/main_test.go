@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestRunSingleFigureWithCSV(t *testing.T) {
@@ -55,8 +57,9 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestF2S(t *testing.T) {
-	if got := f2s(1.5); got != "1.5" {
-		t.Errorf("f2s = %q", got)
+	tab := experiments.Table{Columns: []experiments.Column{{Name: "v"}}, Rows: [][]any{{1.5}}}
+	if got := tab.CSV()[1][0]; got != "1.5" {
+		t.Errorf("CSV float = %q", got)
 	}
 }
 

@@ -24,15 +24,18 @@ type SensitivityPoint struct {
 	AvgRatioInformed float64
 }
 
+// SensitivitySweep is ablation A1's result, one point per estimate scale.
+type SensitivitySweep []SensitivityPoint
+
 // RunFlowLengthSensitivityCtx sweeps the flow-length estimation error and
 // reports how the informed approach's energy ratio degrades — the paper's
 // §5: "we will study the impact of inaccurate estimates of flow length on
 // the energy performance of the framework."
-func RunFlowLengthSensitivityCtx(ctx context.Context, p Params, scales []float64) ([]SensitivityPoint, error) {
+func RunFlowLengthSensitivityCtx(ctx context.Context, p Params, scales []float64) (SensitivitySweep, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.25, 0.5, 1, 2, 4}
 	}
-	out := make([]SensitivityPoint, 0, len(scales))
+	out := make(SensitivitySweep, 0, len(scales))
 	for _, s := range scales {
 		if s <= 0 {
 			return nil, fmt.Errorf("experiments: non-positive estimate scale %v", s)
@@ -130,13 +133,16 @@ type StepSweepPoint struct {
 	AvgFlips         float64
 }
 
+// StepSweep is ablation A5's result, one point per movement cap.
+type StepSweep []StepSweepPoint
+
 // RunStepSweepCtx sweeps the per-packet movement cap: small steps converge
 // slowly (less benefit captured), large steps approach teleportation.
-func RunStepSweepCtx(ctx context.Context, p Params, steps []float64) ([]StepSweepPoint, error) {
+func RunStepSweepCtx(ctx context.Context, p Params, steps []float64) (StepSweep, error) {
 	if len(steps) == 0 {
 		steps = []float64{1, 5, 10, 25, 50}
 	}
-	out := make([]StepSweepPoint, 0, len(steps))
+	out := make(StepSweep, 0, len(steps))
 	for _, s := range steps {
 		if s <= 0 {
 			return nil, fmt.Errorf("experiments: non-positive max step %v", s)

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/fault"
@@ -98,23 +97,6 @@ func (r StrategyResult) Cell(strategy, regime string) StrategyCell {
 		}
 	}
 	return StrategyCell{}
-}
-
-// CSV renders the table as CSV rows (header first), the EXPERIMENTS.md
-// artifact.
-func (r StrategyResult) CSV() [][]string {
-	rows := [][]string{{
-		"strategy", "regime", "total_j", "tx_j", "move_j",
-		"delivery_ratio", "completed", "lifetime_s", "mean_residual_j",
-	}}
-	f := func(v float64) string { return fmt.Sprintf("%.6g", v) }
-	for _, c := range r.Cells {
-		rows = append(rows, []string{
-			c.Strategy, c.Regime, f(c.TotalJ), f(c.TxJ), f(c.MoveJ),
-			f(c.DeliveryRatio), f(c.Completed), f(c.Lifetime), f(c.MeanResidual),
-		})
-	}
-	return rows
 }
 
 // RunStrategyComparisonCtx sweeps every registered strategy under every

@@ -78,7 +78,7 @@ func TestRunStrategyComparison(t *testing.T) {
 		}
 	}
 	// CSV carries the header plus one row per cell.
-	csv := res.CSV()
+	csv := res.Table().CSV()
 	if len(csv) != wantCells+1 {
 		t.Fatalf("CSV has %d rows, want %d", len(csv), wantCells+1)
 	}

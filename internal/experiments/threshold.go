@@ -21,6 +21,10 @@ type ThresholdPoint struct {
 	ActivationRate float64
 }
 
+// ThresholdSweep is the threshold study's result, one point per flow
+// length.
+type ThresholdSweep []ThresholdPoint
+
 // thresholdSample is one (instance, length) trial of the sweep.
 type thresholdSample struct {
 	CU, Inf   float64
@@ -36,11 +40,11 @@ type thresholdSample struct {
 // computed online by the framework). Every length reruns the same
 // instances with their flow length fixed, as a sweep journaled as cell
 // "threshold <bits>".
-func RunThresholdSweepCtx(ctx context.Context, p Params, lengths []float64) ([]ThresholdPoint, error) {
+func RunThresholdSweepCtx(ctx context.Context, p Params, lengths []float64) (ThresholdSweep, error) {
 	if len(lengths) == 0 {
 		return nil, fmt.Errorf("experiments: no sweep lengths")
 	}
-	out := make([]ThresholdPoint, 0, len(lengths))
+	out := make(ThresholdSweep, 0, len(lengths))
 	for _, bits := range lengths {
 		if bits <= 0 {
 			return nil, fmt.Errorf("experiments: non-positive flow length %v", bits)
