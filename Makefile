@@ -150,7 +150,9 @@ serve:
 # sweep drives the distributed sweep fabric end-to-end: checkpoint a
 # multi-trial document on a local pool with -verify asserting
 # byte-identity against the serial reference, then resume the completed
-# checkpoint (zero trials re-run) and verify again.
+# checkpoint (zero trials re-run) and verify again. A multi-trial
+# ambient-motion document then runs the per-trial motion seeds through
+# the coordinator, again verified against the serial reference.
 SWEEP_CKPT = /tmp/imobif-sweep-ci.ckpt
 
 sweep:
@@ -160,6 +162,8 @@ sweep:
 	$(GO) run ./cmd/imobif-sweep -scenario examples/scenarios/sweep.json \
 		-workers local:2 -checkpoint $(SWEEP_CKPT) -resume -verify
 	rm -f $(SWEEP_CKPT)
+	$(GO) run ./cmd/imobif-sweep -scenario examples/scenarios/motion-sweep.json \
+		-workers local:2 -verify
 
 # strategies smokes the plug-in registry end-to-end: list the registered
 # set, reject an unknown name (naming the set in the error), and drive

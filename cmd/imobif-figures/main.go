@@ -216,10 +216,8 @@ func tables[R interface{ Table() experiments.Table }](res R, err error) ([]exper
 }
 
 func runFig5(opts runOpts) ([]experiments.Table, error) {
-	p := experiments.ParamsFig7() // base parameters
-	p.Seed = opts.seed
-	p.Concurrency = opts.concurrency
-	return tables(experiments.RunFig5(p))
+	// Fig 7's parameters are the base; RunFig5 sets its one flow itself.
+	return tables(experiments.RunFig5(opts.params(experiments.ParamsFig7())))
 }
 
 func fig6(variant string) func(runOpts) ([]experiments.Table, error) {

@@ -44,6 +44,25 @@ func TestRunFig5CSV(t *testing.T) {
 	}
 }
 
+// TestRunFig5HonorsNodes checks that -nodes reaches Figure 5 as it does
+// every other figure: a 400-node network must change the trajectory.
+func TestRunFig5HonorsNodes(t *testing.T) {
+	read := func(nodes int) string {
+		dir := t.TempDir()
+		if err := run("5", runOpts{flows: 1, seed: 1, nodes: nodes, csvDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "fig5.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	if read(0) == read(400) {
+		t.Error("-fig 5 -nodes 400 wrote the same fig5.csv as the default network")
+	}
+}
+
 func TestRunFig7NoCSV(t *testing.T) {
 	if err := run("7", runOpts{flows: 2, seed: 1, csvDir: ""}); err != nil {
 		t.Fatal(err)

@@ -1,14 +1,20 @@
-// Package dsweep is the distributed sweep fabric: a coordinator that
-// fans the trials of a multi-trial scenario document out over workers —
-// in-process pool slots or remote imobif-served instances speaking the
-// internal/serve HTTP API — with an append-only, fsync'd JSONL
-// checkpoint so a crashed or killed sweep resumes by re-running only the
-// missing trials.
+// Package dsweep is the distributed sweep fabric: it fans the trials of
+// a multi-trial scenario document out over workers — in-process pool
+// slots or remote imobif-served instances speaking the internal/serve
+// HTTP API — with an append-only, fsync'd JSONL checkpoint so a crashed
+// or killed sweep resumes by re-running only the missing trials.
+//
+// There is one engine, MapJSON: sweep.Map plus the checkpoint. The
+// experiment drivers journal their figure sweeps through it, and the
+// scenario Coordinator runs on it, striping the trials over its
+// workers. A trial document becomes a run through serve.RunTrial on a
+// local worker or inside the remote service's job, and runs merge
+// through serve.Merge, the service's own merge.
 //
 // The contract is the repo-wide determinism invariant extended across
 // processes and crashes: every trial derives its randomness from
-// (document seed, trial index) via sweep.DeriveSeed, exactly as
-// internal/serve's multi-trial path does, so the merged aggregates are
+// (document seeds, trial index) via serve.TrialSpec, exactly as the
+// service's multi-trial path does, so the merged aggregates are
 // byte-identical to an uninterrupted serial run no matter how many
 // workers ran, which worker ran which trial, how often the sweep
 // crashed, or where the checkpoint file was truncated. The
@@ -19,11 +25,7 @@ package dsweep
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/scenario"
@@ -31,12 +33,13 @@ import (
 	"repro/internal/sweep"
 )
 
-// Coordinator drives one distributed sweep: deterministic trial
-// assignment over Workers, per-trial checkpointing, and the final
+// Coordinator drives one distributed sweep on MapJSON: deterministic
+// trial assignment over Workers, per-trial checkpointing, and the final
 // index-ordered merge.
 type Coordinator struct {
-	// Workers are the execution slots; trials are striped over them
-	// deterministically (trial list position mod worker count).
+	// Workers are the execution slots; the trial at position p of the
+	// list of trials to run goes to Workers[p mod len(Workers)], and up
+	// to len(Workers) trials run at once.
 	Workers []Worker
 	// Checkpoint is the JSONL checkpoint path; empty disables
 	// checkpointing (the sweep then only completes or fails whole).
@@ -49,16 +52,13 @@ type Coordinator struct {
 	// for (resumed trials included, in one initial call) with the number
 	// accounted so far and the total. Calls are serialized.
 	OnProgress func(done, total int)
-	// OnTrial, when non-nil, is called after each freshly executed trial
-	// is accounted for, with the trial index and the worker that ran it.
-	// Calls are serialized with OnProgress.
-	OnTrial func(trial int, worker string)
 }
 
 // Stats describes one coordinator run for reporting.
 type Stats struct {
 	// Trials is the sweep's total trial count; Resumed the trials
-	// recovered from the checkpoint; Ran the trials executed this run.
+	// recovered from the checkpoint; Ran the trials executed this run
+	// (set when the sweep completes).
 	Trials  int
 	Resumed int
 	Ran     int
@@ -80,7 +80,7 @@ func (s Stats) String() string {
 
 // Run executes the sweep the scenario document describes and returns the
 // merged result — byte-identical (after JSON marshaling) to what
-// internal/serve's runJob or this package's Serial produce for the same
+// internal/serve's jobs or this package's Serial produce for the same
 // document. The first trial error cancels outstanding work and is
 // returned; trials already checkpointed stay durable, so a subsequent
 // Run with Resume set re-runs only what is missing.
@@ -93,140 +93,37 @@ func (c *Coordinator) Run(ctx context.Context, spec *scenario.Scenario) (*serve.
 	if err := spec.Validate(); err != nil {
 		return nil, stats, err
 	}
-	trials := spec.Trials
-	if trials < 1 {
-		trials = 1
-	}
-	stats.Trials = trials
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		return nil, stats, err
 	}
-
-	runs := make([]serve.RunResult, trials)
-	have := make([]bool, trials)
-	var ckpt *Checkpoint
-	if c.Checkpoint != "" {
-		manifest := Manifest{Fingerprint: fp, Trials: trials, Name: spec.Name}
-		var resumed map[int]json.RawMessage
-		if c.Resume {
-			ckpt, resumed, err = OpenCheckpoint(c.Checkpoint, manifest)
-		} else {
-			ckpt, err = CreateCheckpoint(c.Checkpoint, manifest)
-		}
+	trials := max(spec.Trials, 1)
+	stats.Trials = trials
+	r := sweep.Runner{Concurrency: len(c.Workers)}
+	if c.OnProgress != nil {
+		// MapJSON counts the trials it runs; add the resumed ones.
+		r.OnProgress = func(done, missing int) { c.OnProgress(trials-missing+done, trials) }
+	}
+	m := Manifest{Fingerprint: fp, Trials: trials, Name: spec.Name}
+	runs, resumed, _, err := mapJSON(ctx, r, trials, m, c.Checkpoint, c.Resume, func(ctx context.Context, trial, pos int) (serve.RunResult, error) {
+		w := c.Workers[pos%len(c.Workers)]
+		run, err := w.RunTrial(ctx, trialDoc(spec, trial, trials))
 		if err != nil {
-			return nil, stats, err
+			return run, fmt.Errorf("worker %s: %w", w.Name(), err)
 		}
-		defer ckpt.Close()
-		for trial, raw := range resumed {
-			if err := json.Unmarshal(raw, &runs[trial]); err != nil {
-				return nil, stats, fmt.Errorf("dsweep: checkpointed trial %d does not decode: %w", trial, err)
-			}
-			have[trial] = true
-		}
-		stats.Resumed = len(resumed)
-	}
-
-	var missing []int
-	for i := range have {
-		if !have[i] {
-			missing = append(missing, i)
-		}
-	}
-	sort.Ints(missing)
-	if c.OnProgress != nil && stats.Resumed > 0 {
-		c.OnProgress(stats.Resumed, trials)
-	}
-
-	if err := c.runMissing(ctx, spec, trials, missing, runs, ckpt, &stats); err != nil {
-		stats.Elapsed = time.Since(start)
+		return run, nil
+	})
+	stats.Resumed, stats.Elapsed = resumed, time.Since(start)
+	if err != nil {
 		return nil, stats, err
 	}
-	stats.Elapsed = time.Since(start)
-	return mergeRuns(spec, trials, runs), stats, nil
-}
-
-// runMissing stripes the missing trials over the workers and executes
-// them. Assignment is deterministic — worker w takes missing[w], then
-// missing[w+W], and so on, each slice in ascending trial order — though
-// results never depend on it (every trial's randomness comes from its
-// index alone).
-func (c *Coordinator) runMissing(ctx context.Context, spec *scenario.Scenario, trials int, missing []int, runs []serve.RunResult, ckpt *Checkpoint, stats *Stats) error {
-	if len(missing) == 0 {
-		return nil
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		mu       sync.Mutex
-		done     = stats.Resumed
-		firstErr error
-		errTrial = -1
-		wg       sync.WaitGroup
-		nworkers = len(c.Workers)
-	)
-	fail := func(trial int, err error) {
-		mu.Lock()
-		if errTrial < 0 || trial < errTrial {
-			errTrial, firstErr = trial, err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for w := 0; w < nworkers && w < len(missing); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := c.Workers[w]
-			for pos := w; pos < len(missing); pos += nworkers {
-				trial := missing[pos]
-				if ctx.Err() != nil {
-					return
-				}
-				doc := trialDoc(spec, trial, trials)
-				run, err := worker.RunTrial(ctx, doc)
-				if err != nil {
-					// A cancellation observed after another worker already
-					// failed is a consequence, not a cause; let the
-					// originating error win.
-					if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-						return
-					}
-					fail(trial, fmt.Errorf("worker %s: %w", worker.Name(), err))
-					return
-				}
-				// Checkpoint before accounting: a trial the caller saw
-				// counted is always durable.
-				if ckpt != nil {
-					if err := ckpt.Append(trial, run); err != nil {
-						fail(trial, err)
-						return
-					}
-				}
-				mu.Lock()
-				runs[trial] = run
-				done++
-				stats.Ran++
-				if c.OnTrial != nil {
-					c.OnTrial(trial, worker.Name())
-				}
-				if c.OnProgress != nil {
-					c.OnProgress(done, trials)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return fmt.Errorf("dsweep: trial %d: %w", errTrial, firstErr)
-	}
-	return ctx.Err()
+	stats.Ran = trials - resumed
+	return serve.Merge(spec, runs), stats, nil
 }
 
 // trialDoc derives the single-trial document trial i of the sweep runs:
 // serve.TrialSpec's seed derivation with the trial count cleared, so a
-// remote worker runs it once under the derived seed. The result is
+// remote worker runs it once under the derived seeds. The result is
 // identical whether the trial executes here, on a remote server, or
 // inside serve's own multi-trial loop.
 func trialDoc(spec *scenario.Scenario, trial, trials int) *scenario.Scenario {
@@ -241,40 +138,15 @@ func trialDoc(spec *scenario.Scenario, trial, trials int) *scenario.Scenario {
 	return doc
 }
 
-// mergeRuns aggregates per-trial runs exactly as internal/serve's runJob
-// does, so the merged result marshals to the same bytes a single-process
-// service run of the document would produce.
-func mergeRuns(spec *scenario.Scenario, trials int, runs []serve.RunResult) *serve.Result {
-	out := &serve.Result{Scenario: spec.Name, Trials: trials, Runs: runs}
-	var total float64
-	for _, r := range out.Runs {
-		total += r.TotalJoules
-		completed := len(r.Flows) > 0
-		for _, f := range r.Flows {
-			completed = completed && f.Completed
-		}
-		if completed {
-			out.Completed++
-		}
-	}
-	if len(out.Runs) > 0 {
-		out.MeanTotalJoules = total / float64(len(out.Runs))
-	}
-	return out
-}
-
 // Serial is the reference run: the same document executed trial-by-trial
-// on the serial sweep.Runner and merged identically. The distributed
+// on the serial sweep.Runner and merged by serve.Merge. The distributed
 // fabric's correctness criterion is byte-identity of json.Marshal'd
 // results against this function.
 func Serial(ctx context.Context, spec *scenario.Scenario) (*serve.Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	trials := spec.Trials
-	if trials < 1 {
-		trials = 1
-	}
+	trials := max(spec.Trials, 1)
 	w := &LocalWorker{}
 	runs, _, err := sweep.Map(ctx, sweep.Runner{Concurrency: 1}, trials, func(ctx context.Context, trial int) (serve.RunResult, error) {
 		return w.RunTrial(ctx, trialDoc(spec, trial, trials))
@@ -282,5 +154,5 @@ func Serial(ctx context.Context, spec *scenario.Scenario) (*serve.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return mergeRuns(spec, trials, runs), nil
+	return serve.Merge(spec, runs), nil
 }

@@ -79,14 +79,11 @@ func helperCoordinator() {
 	var paceMS int
 	fmt.Sscan(os.Getenv("DSWEEP_PACE_MS"), &paceMS)
 	c := &Coordinator{
-		Workers:    LocalWorkers(2),
+		Workers: onTrial(spec, LocalWorkers(2), func(int) {
+			time.Sleep(time.Duration(paceMS) * time.Millisecond)
+		}),
 		Checkpoint: os.Getenv("DSWEEP_CHECKPOINT"),
 		Resume:     os.Getenv("DSWEEP_RESUME") == "1",
-	}
-	c.OnTrial = func(trial int, worker string) {
-		if paceMS > 0 {
-			time.Sleep(time.Duration(paceMS) * time.Millisecond)
-		}
 	}
 	res, stats, err := c.Run(context.Background(), spec)
 	if err != nil {
@@ -181,15 +178,14 @@ func TestCrashKilledWorkerThenResume(t *testing.T) {
 	// slot. After two trials are accounted, kill -9 the worker process
 	// mid-sweep; the coordinator must fail (resume is the recovery path,
 	// not silent failover), keeping completed trials durable.
-	first := &Coordinator{
-		Workers:    []Worker{&HTTPWorker{Base: base, PollInterval: 2 * time.Millisecond}, &LocalWorker{}},
-		Checkpoint: path,
-	}
 	counted := 0
-	first.OnTrial = func(trial int, worker string) {
-		if counted++; counted == 2 {
-			sigkill(t, cmd)
-		}
+	first := &Coordinator{
+		Workers: onTrial(spec, []Worker{&HTTPWorker{Base: base, PollInterval: 2 * time.Millisecond}, &LocalWorker{}}, func(int) {
+			if counted++; counted == 2 {
+				sigkill(t, cmd)
+			}
+		}),
+		Checkpoint: path,
 	}
 	if _, _, err := first.Run(context.Background(), spec); err == nil {
 		t.Fatal("sweep succeeded although its worker was kill -9'd mid-run")
@@ -205,9 +201,8 @@ func TestCrashKilledWorkerThenResume(t *testing.T) {
 
 	// Resume on local workers only: byte-identical merge, missing trials
 	// executed exactly once, resumed trials not re-executed.
-	second := &Coordinator{Workers: LocalWorkers(2), Checkpoint: path, Resume: true}
 	executed := map[int]int{}
-	second.OnTrial = func(trial int, worker string) { executed[trial]++ }
+	second := &Coordinator{Workers: onTrial(spec, LocalWorkers(2), func(trial int) { executed[trial]++ }), Checkpoint: path, Resume: true}
 	got, stats := runBytes(t, second, spec)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed merge differs from serial reference:\n got %s\nwant %s", got, want)
@@ -369,9 +364,8 @@ func TestCheckpointTruncationSweep(t *testing.T) {
 		if perr != nil {
 			before = nil // torn manifest: resume starts fresh
 		}
-		rc := &Coordinator{Workers: LocalWorkers(2), Checkpoint: path, Resume: true}
 		executed := 0
-		rc.OnTrial = func(trial int, worker string) { executed++ }
+		rc := &Coordinator{Workers: onTrial(spec, LocalWorkers(2), func(int) { executed++ }), Checkpoint: path, Resume: true}
 		got, stats := runBytes(t, rc, spec)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("offset %d: resumed merge differs from serial reference", off)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,14 +136,13 @@ func TestCoordinatorResumeRunsOnlyMissing(t *testing.T) {
 
 	// First pass: run 3 trials' worth by canceling after 3 are accounted.
 	ctx, cancel := context.WithCancel(context.Background())
-	first := &Coordinator{Workers: LocalWorkers(2), Checkpoint: path}
 	counted := 0
-	first.OnTrial = func(trial int, worker string) {
+	first := &Coordinator{Workers: onTrial(spec, LocalWorkers(2), func(int) {
 		counted++
 		if counted == 3 {
 			cancel()
 		}
-	}
+	}), Checkpoint: path}
 	if _, _, err := first.Run(ctx, spec); err == nil {
 		t.Fatal("canceled run reported success")
 	}
@@ -156,9 +156,8 @@ func TestCoordinatorResumeRunsOnlyMissing(t *testing.T) {
 	}
 
 	// Resume: only the missing trials may execute.
-	second := &Coordinator{Workers: LocalWorkers(3), Checkpoint: path, Resume: true}
 	executed := map[int]int{}
-	second.OnTrial = func(trial int, worker string) { executed[trial]++ }
+	second := &Coordinator{Workers: onTrial(spec, LocalWorkers(3), func(trial int) { executed[trial]++ }), Checkpoint: path, Resume: true}
 	got, stats := runBytes(t, second, spec)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed merge differs from serial reference:\n got %s\nwant %s", got, want)
@@ -245,6 +244,137 @@ func TestCoordinatorWorkerErrorWins(t *testing.T) {
 	if !strings.Contains(err.Error(), "dsweep: trial 1:") {
 		t.Fatalf("error %q does not name the failing worker's first trial", err)
 	}
+}
+
+// TestCoordinatorResumeFailureAndProgress resumes sweeps that fail on a
+// known trial: the error must name that trial's index, not its position
+// among the trials the resumed run executes, and progress must start
+// from the resumed count.
+func TestCoordinatorResumeFailureAndProgress(t *testing.T) {
+	spec := testSpec(t, 5)
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	boom := errors.New("boom")
+	failOn := func(trial int) Worker {
+		return failTrial{Worker: &LocalWorker{}, seed: trialDoc(spec, trial, 5).Seed, err: boom}
+	}
+
+	// Serial first pass: trials 0-2 are checkpointed, trial 3 fails.
+	first := &Coordinator{Workers: []Worker{failOn(3)}, Checkpoint: path}
+	if _, _, err := first.Run(context.Background(), spec); !errors.Is(err, boom) || !strings.Contains(err.Error(), "dsweep: trial 3:") {
+		t.Fatalf("first pass error = %v, want it to name trial 3", err)
+	}
+
+	// Resume runs trials 3 and 4 at positions 0 and 1; trial 4 fails.
+	var calls [][2]int
+	record := func(done, total int) { calls = append(calls, [2]int{done, total}) }
+	second := &Coordinator{Workers: []Worker{failOn(4)}, Checkpoint: path, Resume: true, OnProgress: record}
+	if _, _, err := second.Run(context.Background(), spec); !errors.Is(err, boom) || !strings.Contains(err.Error(), "dsweep: trial 4:") {
+		t.Fatalf("resumed error = %v, want it to name trial 4", err)
+	}
+	if want := [][2]int{{3, 5}, {4, 5}}; fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("resumed OnProgress calls = %v, want %v", calls, want)
+	}
+
+	calls = nil
+	third := &Coordinator{Workers: LocalWorkers(2), Checkpoint: path, Resume: true, OnProgress: record}
+	got, stats := runBytes(t, third, spec)
+	if want := serialBytes(t, spec); !bytes.Equal(got, want) {
+		t.Fatalf("resumed merge differs from serial reference:\n got %s\nwant %s", got, want)
+	}
+	if stats.Resumed != 4 || stats.Ran != 1 {
+		t.Errorf("stats = %+v, want 4 resumed / 1 ran", stats)
+	}
+	if want := [][2]int{{4, 5}, {5, 5}}; fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Errorf("final OnProgress calls = %v, want %v", calls, want)
+	}
+}
+
+// TestCoordinatorMotionTrialsDiffer sweeps a multi-trial ambient-motion
+// document with explicit nodes, where only the motion stream can tell
+// trials apart: each trial must draw its own, so no two runs match once
+// their seeds are set aside, and the coordinator must still equal the
+// serial reference.
+func TestCoordinatorMotionTrialsDiffer(t *testing.T) {
+	spec, err := scenario.LoadFile("../../examples/scenarios/motion-sweep.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialBytes(t, spec)
+	got, _ := runBytes(t, &Coordinator{Workers: LocalWorkers(2)}, spec)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("motion sweep differs from serial reference:\n got %s\nwant %s", got, want)
+	}
+	var res serve.Result
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) < 2 {
+		t.Fatalf("%d run(s); the document must have several trials", len(res.Runs))
+	}
+	seen := map[string]int{}
+	for i, run := range res.Runs {
+		run.Seed = 0
+		b, err := json.Marshal(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, dup := seen[string(b)]; dup {
+			t.Errorf("trials %d and %d ran identically apart from their seeds", j, i)
+		}
+		seen[string(b)] = i
+	}
+}
+
+// failTrial is a Worker that fails the one trial whose derived seed is
+// seed and runs every other trial on the embedded Worker.
+type failTrial struct {
+	Worker
+	seed int64
+	err  error
+}
+
+func (f failTrial) RunTrial(ctx context.Context, doc *scenario.Scenario) (serve.RunResult, error) {
+	if doc.Seed == f.seed {
+		return serve.RunResult{}, f.err
+	}
+	return f.Worker.RunTrial(ctx, doc)
+}
+
+// onTrial wraps each of ws so fn runs after every trial the worker
+// completes, with the trial's index (recovered from its derived seed);
+// calls are serialized. The coordinator checkpoints a run once its worker
+// returns it, so every trial fn has seen ends up in the checkpoint.
+func onTrial(spec *scenario.Scenario, ws []Worker, fn func(trial int)) []Worker {
+	trials := max(spec.Trials, 1)
+	index := make(map[int64]int, trials)
+	for i := 0; i < trials; i++ {
+		index[trialDoc(spec, i, trials).Seed] = i
+	}
+	var mu sync.Mutex
+	out := make([]Worker, len(ws))
+	for i, w := range ws {
+		out[i] = hookWorker{Worker: w, after: func(doc *scenario.Scenario) {
+			mu.Lock()
+			defer mu.Unlock()
+			fn(index[doc.Seed])
+		}}
+	}
+	return out
+}
+
+// hookWorker is a Worker that calls after once each trial it runs
+// succeeds, before handing the run back.
+type hookWorker struct {
+	Worker
+	after func(doc *scenario.Scenario)
+}
+
+func (h hookWorker) RunTrial(ctx context.Context, doc *scenario.Scenario) (serve.RunResult, error) {
+	run, err := h.Worker.RunTrial(ctx, doc)
+	if err == nil {
+		h.after(doc)
+	}
+	return run, err
 }
 
 // failingWorker fails every trial.
@@ -337,6 +467,32 @@ func TestMapJSONResumeMatchesPlain(t *testing.T) {
 		if got[i] != plain[i] {
 			t.Fatalf("results[%d] = %v, want %v", i, got[i], plain[i])
 		}
+	}
+}
+
+func TestMapJSONResumedFailureNamesTrial(t *testing.T) {
+	const trials = 10
+	m := Manifest{Fingerprint: "map-json-fail", Trials: trials}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	boom := errors.New("boom")
+	failAt := func(bad int) func(context.Context, int) (int, error) {
+		return func(_ context.Context, trial int) (int, error) {
+			if trial == bad {
+				return 0, boom
+			}
+			return trial, nil
+		}
+	}
+	// Serial first pass: trials 0-2 are checkpointed, trial 3 fails.
+	_, _, err := MapJSON(context.Background(), sweep.Runner{Concurrency: 1}, trials, m, path, false, failAt(3))
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "dsweep: trial 3:") {
+		t.Fatalf("first pass error = %v, want it to name trial 3", err)
+	}
+	// Resume: trial 6 runs at position 3 among the missing trials, and the
+	// error must name the trial, not the position.
+	_, _, err = MapJSON(context.Background(), sweep.Runner{Concurrency: 2}, trials, m, path, true, failAt(6))
+	if !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "dsweep: trial 6:") {
+		t.Fatalf("resumed error = %v, want it to name trial 6", err)
 	}
 }
 

@@ -27,8 +27,8 @@ type Worker interface {
 	Name() string
 }
 
-// LocalWorker runs trials in-process: build the world, run it under the
-// coordinator's context, convert through the service wire form.
+// LocalWorker runs trials in-process under the coordinator's context.
+// It is stateless, so it may run several trials at once.
 type LocalWorker struct {
 	// Slot distinguishes pool members in progress output.
 	Slot int
@@ -50,26 +50,15 @@ func LocalWorkers(n int) []Worker {
 // Name implements Worker.
 func (w *LocalWorker) Name() string { return fmt.Sprintf("local:%d", w.Slot) }
 
-// RunTrial implements Worker by running the document in-process through
-// exactly the code path internal/serve uses for one trial of a
-// multi-trial job.
+// RunTrial implements Worker through serve.RunTrial, the code path the
+// service runs each trial of a job on. A canceled run is the context's
+// error here: the coordinator has no use for a partial trial.
 func (w *LocalWorker) RunTrial(ctx context.Context, doc *scenario.Scenario) (serve.RunResult, error) {
-	var opts []scenario.BuildOption
-	if doc.Output != nil && doc.Output.SampleIntervalS > 0 {
-		opts = append(opts, scenario.WithSampleInterval(doc.Output.SampleIntervalS))
-	}
-	world, _, err := doc.Build(opts...)
-	if err != nil {
-		return serve.RunResult{}, err
-	}
-	res, err := world.RunContext(ctx)
-	if err != nil {
-		return serve.RunResult{}, err
-	}
-	if res.Canceled {
+	run, err := serve.RunTrial(ctx, doc, nil)
+	if err == nil && run.Canceled {
 		return serve.RunResult{}, ctx.Err()
 	}
-	return serve.RunResultFrom(doc.Seed, res), nil
+	return run, err
 }
 
 // HTTPWorker runs trials on a remote imobif-served instance through its

@@ -72,10 +72,12 @@ type Scenario struct {
 	// independent of the iMobif strategy's informed relay movement).
 	Motion *MotionSpec `json:"motion,omitempty"`
 
-	// Trials asks service runs (imobif-served) to execute the scenario
-	// this many times, trial i under a seed derived from Seed via
-	// SplitMix64 (internal/sweep). 0 and 1 both mean a single run under
-	// Seed itself. Build ignores it: it materializes one world.
+	// Trials asks service runs (imobif-served, imobif-sweep) to execute
+	// the scenario this many times, trial i under seeds derived via
+	// SplitMix64 (internal/sweep) from Seed, Faults.Seed and Motion.Seed,
+	// so trials differ in placement, channel and drift alike. 0 and 1
+	// both mean a single run under the document's own seeds. Build
+	// ignores it: it materializes one world.
 	Trials int `json:"trials,omitempty"`
 	// Output selects optional service-run outputs (JSONL event trace,
 	// time-resolved metrics samples). Nil means result metrics only.

@@ -34,8 +34,11 @@
 // document — carries those bytes verbatim, so cached results are
 // byte-identical to recomputing them. Multi-trial jobs run their trials
 // sequentially inside one worker, trial i seeded by SplitMix64 seed
-// derivation (internal/sweep) from the document's seed, so the per-trial
-// results are independent of worker scheduling.
+// derivation (internal/sweep) from the document's placement, fault and
+// motion seeds, so the per-trial results are independent of worker
+// scheduling. Each trial runs through RunTrial and the runs merge
+// through Merge; the distributed sweep fabric (internal/dsweep) calls the
+// same two functions, so its results match a service job's bytes.
 //
 // Cancellation (DELETE, or server shutdown past its drain deadline)
 // flips the job's context; the simulator checks it between events only,

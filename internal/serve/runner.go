@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -20,53 +21,78 @@ import (
 // job failed (bad build, trace write failure); cancellation is not an
 // error.
 func runJob(ctx context.Context, spec *scenario.Scenario) (*Result, []byte, error) {
-	trials := spec.Trials
-	if trials < 1 {
-		trials = 1
+	trials := max(spec.Trials, 1)
+	runs := []RunResult{}
+	var traceBuf bytes.Buffer
+	var traceTo io.Writer
+	if spec.Output != nil && spec.Output.Trace {
+		traceTo = &traceBuf
 	}
-	out := &Result{Scenario: spec.Name, Trials: trials, Runs: []RunResult{}}
-	var traceBytes []byte
-	for i := 0; i < trials; i++ {
+	canceled := false
+	for i := 0; i < trials && !canceled; i++ {
 		// Trial 0 runs even when ctx is already canceled: RunContext's
 		// precanceled path yields the deterministic initial-state partial
 		// result, which is more useful than an empty run list.
 		if i > 0 && ctx.Err() != nil {
-			out.Canceled = true
+			canceled = true
 			break
 		}
-		tspec := TrialSpec(spec, i, trials)
-		var opts []scenario.BuildOption
-		var jw *trace.JSONLWriter
-		var traceBuf bytes.Buffer
-		if spec.Output != nil && spec.Output.Trace {
-			jw = trace.NewJSONLWriter(&traceBuf)
-			opts = append(opts, scenario.WithSink(jw))
-		}
-		if spec.Output != nil && spec.Output.SampleIntervalS > 0 {
-			opts = append(opts, scenario.WithSampleInterval(spec.Output.SampleIntervalS))
-		}
-		world, _, err := tspec.Build(opts...)
+		run, err := RunTrial(ctx, TrialSpec(spec, i, trials), traceTo)
 		if err != nil {
 			return nil, nil, fmt.Errorf("trial %d: %w", i, err)
 		}
-		res, err := world.RunContext(ctx)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trial %d: %w", i, err)
-		}
-		if jw != nil {
-			if werr := jw.Err(); werr != nil {
-				return nil, nil, fmt.Errorf("trial %d: trace export: %w", i, werr)
-			}
-			traceBytes = traceBuf.Bytes()
-		}
-		out.Runs = append(out.Runs, RunResultFrom(tspec.Seed, res))
-		if res.Canceled {
-			out.Canceled = true
-			break
+		runs = append(runs, run)
+		canceled = run.Canceled
+	}
+	out := Merge(spec, runs)
+	out.Canceled = canceled
+	return out, traceBuf.Bytes(), nil
+}
+
+// RunTrial runs one trial document under ctx and converts the run to the
+// wire form. It is the one path from a document to a RunResult: the
+// service's multi-trial loop and the sweep fabric's local workers
+// (internal/dsweep) both call it, so the two execution styles stay
+// bit-comparable. The document's output options select the metrics
+// sample interval; traceTo, when non-nil, receives the run's JSONL event
+// trace. A canceled run is not an error: it comes back with Canceled set,
+// holding the deterministic partial state at the stop point.
+func RunTrial(ctx context.Context, doc *scenario.Scenario, traceTo io.Writer) (RunResult, error) {
+	var opts []scenario.BuildOption
+	var jw *trace.JSONLWriter
+	if traceTo != nil {
+		jw = trace.NewJSONLWriter(traceTo)
+		opts = append(opts, scenario.WithSink(jw))
+	}
+	if doc.Output != nil && doc.Output.SampleIntervalS > 0 {
+		opts = append(opts, scenario.WithSampleInterval(doc.Output.SampleIntervalS))
+	}
+	world, _, err := doc.Build(opts...)
+	if err != nil {
+		return RunResult{}, err
+	}
+	res, err := world.RunContext(ctx)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if jw != nil {
+		if err := jw.Err(); err != nil {
+			return RunResult{}, fmt.Errorf("trace export: %w", err)
 		}
 	}
+	return RunResultFrom(doc.Seed, res), nil
+}
+
+// Merge aggregates the per-trial runs of spec into its result: Completed
+// counts the runs whose every flow completed, MeanTotalJoules averages
+// total energy over the runs. It is the one merge — service jobs and the
+// sweep fabric's coordinator and serial reference all call it — so a
+// distributed sweep marshals to the bytes a single-process service run
+// of the same document produces.
+func Merge(spec *scenario.Scenario, runs []RunResult) *Result {
+	out := &Result{Scenario: spec.Name, Trials: max(spec.Trials, 1), Runs: runs}
 	var total float64
-	for _, r := range out.Runs {
+	for _, r := range runs {
 		total += r.TotalJoules
 		completed := len(r.Flows) > 0
 		for _, f := range r.Flows {
@@ -76,20 +102,20 @@ func runJob(ctx context.Context, spec *scenario.Scenario) (*Result, []byte, erro
 			out.Completed++
 		}
 	}
-	if len(out.Runs) > 0 {
-		out.MeanTotalJoules = total / float64(len(out.Runs))
+	if len(runs) > 0 {
+		out.MeanTotalJoules = total / float64(len(runs))
 	}
-	return out, traceBytes, nil
+	return out
 }
 
 // TrialSpec returns the scenario trial i runs: the document itself for
-// single-trial jobs, a copy with SplitMix64-derived placement and fault
-// seeds for trial i of a multi-trial job (so trials are independent yet
-// fully determined by the document). It is exported because the
-// distributed sweep fabric (internal/dsweep) must derive exactly the
-// same per-trial documents the service's own multi-trial path runs —
-// that shared derivation is what makes distributed merges byte-identical
-// to a serial run.
+// single-trial jobs, a copy with SplitMix64-derived placement, fault and
+// motion seeds for trial i of a multi-trial job (so trials are
+// independent yet fully determined by the document). It is exported
+// because the distributed sweep fabric (internal/dsweep) must derive
+// exactly the same per-trial documents the service's own multi-trial
+// path runs — that shared derivation is what makes distributed merges
+// byte-identical to a serial run.
 func TrialSpec(s *scenario.Scenario, i, trials int) *scenario.Scenario {
 	if trials <= 1 {
 		return s
@@ -101,14 +127,18 @@ func TrialSpec(s *scenario.Scenario, i, trials int) *scenario.Scenario {
 		f.Seed = int64(sweep.DeriveSeed(s.Faults.Seed, uint64(i)))
 		c.Faults = &f
 	}
+	if s.Motion != nil {
+		m := *s.Motion
+		m.Seed = int64(sweep.DeriveSeed(s.Motion.Seed, uint64(i)))
+		c.Motion = &m
+	}
 	return &c
 }
 
 // RunResultFrom maps one netsim run onto the wire form, mirroring the
-// public imobif.Result conversion field-for-field. Exported for
-// internal/dsweep: local fabric workers convert their runs through the
-// same code path as the service, keeping the two execution styles
-// bit-comparable.
+// public imobif.Result conversion field-for-field. RunTrial converts
+// through it; it is exported so the perfbench harness can check served
+// results against direct runs.
 func RunResultFrom(seed int64, res netsim.Result) RunResult {
 	rr := RunResult{
 		Seed:          seed,

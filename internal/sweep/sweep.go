@@ -13,6 +13,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -107,9 +108,10 @@ func (r Runner) workers(n int) int {
 //
 // The first trial error cancels the context passed to in-flight trials,
 // drains the pool, and is returned wrapped with its trial index; among
-// the errors actually observed, the lowest-indexed one wins. Canceling
-// ctx aborts the sweep with ctx's error. The returned SweepStats carries
-// wall-clock timing regardless of outcome.
+// the errors actually observed, the lowest-indexed one wins, not
+// counting the context.Canceled errors of trials the cancellation
+// interrupted. Canceling ctx aborts the sweep with ctx's error. The
+// returned SweepStats carries wall-clock timing regardless of outcome.
 func Map[T any](ctx context.Context, r Runner, trials int, fn func(ctx context.Context, trial int) (T, error)) ([]T, metrics.SweepStats, error) {
 	start := time.Now()
 	stats := metrics.SweepStats{Trials: trials, Workers: r.workers(trials)}
@@ -159,7 +161,13 @@ func Map[T any](ctx context.Context, r Runner, trials int, fn func(ctx context.C
 				}
 				v, err := fn(ctx, i)
 				if err != nil {
-					fail(i, err)
+					// A cancellation seen after the sweep was canceled is a
+					// consequence, not a cause: the failure that canceled
+					// it (or ctx's own error) must win, even over a
+					// lower-indexed trial it interrupted.
+					if !errors.Is(err, context.Canceled) || ctx.Err() == nil {
+						fail(i, err)
+					}
 					return
 				}
 				results[i] = v

@@ -127,6 +127,23 @@ func TestMapFirstErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestMapInterruptedTrialDoesNotMaskFailure runs trial 0 until the sweep
+// is canceled: its context.Canceled is a consequence of trial 1's
+// failure, so the sweep must report trial 1's error.
+func TestMapInterruptedTrialDoesNotMaskFailure(t *testing.T) {
+	boom := errors.New("boom")
+	_, _, err := Map(context.Background(), Runner{Concurrency: 2}, 2, func(ctx context.Context, i int) (int, error) {
+		if i == 1 {
+			return 0, boom
+		}
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if !errors.Is(err, boom) || err.Error() != "sweep: trial 1: boom" {
+		t.Fatalf("err = %v, want sweep: trial 1: boom", err)
+	}
+}
+
 func TestMapContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int32
